@@ -144,29 +144,39 @@ func BroadcastFailure(c Comm, m *Membership, suspects []int) {
 
 // Agree is the per-epoch membership agreement — run by every live rank
 // after its epoch attempt, whether the attempt completed or aborted. It
-// doubles as the commit barrier: an empty result on a completed attempt
-// certifies the epoch.
+// doubles as the commit barrier: a completed attempt commits only when the
+// agreement declares no new dead ranks and reports that no rank aborted.
 //
-// Two timeout-bounded rounds over the believed-live set. Round 0: every
-// rank pings every live peer and collects pings; a peer not heard within
-// the deadline is suspected — detection is by silence, because a dead
-// rank's receives surface locally only as deadlines without rank
-// attribution. Round 1: every rank sends its suspect set to every live
-// peer (suspects included, so a falsely-suspected rank learns its fate)
-// and unions the sets it collects from non-suspects. The union, of ranks
-// everyone either failed to hear or was told about, is the agreed new dead
-// set. If this rank appears in a received set it returns ErrEvicted.
+// Two timeout-bounded rounds over the believed-live set. Every round
+// message carries an abort flag ahead of the sender's suspect set (see
+// encodeAgree). Round 0: every rank pings every live peer and collects
+// pings; a peer not heard within the deadline is suspected — detection is
+// by silence, because a dead rank's receives surface locally only as
+// deadlines without rank attribution. Round 1: every rank sends its suspect
+// set to every live peer (suspects included, so a falsely-suspected rank
+// learns its fate) and unions the sets it collects from non-suspects. The
+// union, of ranks everyone either failed to hear or was told about, is the
+// agreed new dead set. If this rank appears in a received set it returns
+// ErrEvicted.
+//
+// The abort flag is set when the sender's own attempt aborted (the aborted
+// argument) or when it heard a set flag in round 0, and is unioned like the
+// suspect set; anyAborted reports the union. A peer that aborted after this
+// rank stopped listening is therefore reported by the very ping that proves
+// it alive: either this rank hears the flag, or it does not hear the peer
+// and suspects it — in both cases the epoch does not commit.
 //
 // The timeout must comfortably exceed the composition's receive deadline:
 // a peer may enter Agree up to one receive deadline later than the first
 // aborter (it was still blocked on the dead rank when the notice raced
 // past it).
-func Agree(c Comm, m *Membership, timeout time.Duration) ([]int, error) {
+func Agree(c Comm, m *Membership, aborted bool, timeout time.Duration) (newDead []int, anyAborted bool, err error) {
 	me := c.Rank()
 	suspect := map[int]bool{}
+	anyAborted = aborted
 	for round := 0; round < 2; round++ {
 		tag := agreeTag(m.epoch, round)
-		payload := EncodeRankSet(sortedRanks(suspect))
+		payload := encodeAgree(anyAborted, sortedRanks(suspect))
 		var keys []MsgKey
 		for r := 0; r < m.size; r++ {
 			if r == me || m.dead[r] {
@@ -182,7 +192,7 @@ func Agree(c Comm, m *Membership, timeout time.Duration) ([]int, error) {
 				case IsRecoverable(err):
 					suspect[r] = true
 				default:
-					return nil, fmt.Errorf("comm: agree round %d send: %w", round, err)
+					return nil, false, fmt.Errorf("comm: agree round %d send: %w", round, err)
 				}
 			}
 			if !suspect[r] {
@@ -213,18 +223,19 @@ func Agree(c Comm, m *Membership, timeout time.Duration) ([]int, error) {
 					keys = nil
 					continue
 				}
-				return nil, fmt.Errorf("comm: agree round %d recv: %w", round, err)
+				return nil, false, fmt.Errorf("comm: agree round %d recv: %w", round, err)
 			}
 			keys = dropKeysFrom(keys, from)
-			theirs, derr := DecodeRankSet(data)
+			flag, theirs, derr := decodeAgree(data)
 			if derr != nil {
-				// A garbled set still proves the sender alive; its content
-				// is ignored.
+				// A garbled message still proves the sender alive; its
+				// content is ignored.
 				continue
 			}
+			anyAborted = anyAborted || flag
 			for _, r := range theirs {
 				if r == me {
-					return nil, ErrEvicted
+					return nil, false, ErrEvicted
 				}
 				if r >= 0 && r < m.size && !m.dead[r] && !suspect[r] {
 					suspect[r] = true
@@ -233,7 +244,31 @@ func Agree(c Comm, m *Membership, timeout time.Duration) ([]int, error) {
 			}
 		}
 	}
-	return sortedRanks(suspect), nil
+	return sortedRanks(suspect), anyAborted, nil
+}
+
+// encodeAgree frames one agreement round message: a flag byte (1 when the
+// sender knows of an aborted attempt, else 0) followed by the sender's
+// suspect set in EncodeRankSet form.
+func encodeAgree(aborted bool, suspects []int) []byte {
+	flag := byte(0)
+	if aborted {
+		flag = 1
+	}
+	return appendRankSet([]byte{flag}, suspects)
+}
+
+// decodeAgree inverts encodeAgree. Any payload it rejects — empty, a flag
+// byte other than 0 or 1, a malformed rank set — is garbled.
+func decodeAgree(payload []byte) (aborted bool, suspects []int, err error) {
+	if len(payload) == 0 || payload[0] > 1 {
+		return false, nil, fmt.Errorf("comm: corrupt agreement flag")
+	}
+	suspects, err = DecodeRankSet(payload[1:])
+	if err != nil {
+		return false, nil, err
+	}
+	return payload[0] == 1, suspects, nil
 }
 
 func dropKeysFrom(keys []MsgKey, rank int) []MsgKey {
@@ -256,14 +291,14 @@ func sortedRanks(set map[int]bool) []int {
 }
 
 // EncodeRankSet serialises a rank list as uvarint count + uvarint ranks.
-func EncodeRankSet(ranks []int) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	buf := tmp[:binary.PutUvarint(tmp[:], uint64(len(ranks)))]
-	out := append([]byte(nil), buf...)
+func EncodeRankSet(ranks []int) []byte { return appendRankSet(nil, ranks) }
+
+func appendRankSet(dst []byte, ranks []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ranks)))
 	for _, r := range ranks {
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(r))]...)
+		dst = binary.AppendUvarint(dst, uint64(r))
 	}
-	return out
+	return dst
 }
 
 // DecodeRankSet inverts EncodeRankSet.
@@ -273,6 +308,11 @@ func DecodeRankSet(payload []byte) ([]int, error) {
 		return nil, fmt.Errorf("comm: corrupt rank-set header")
 	}
 	rest := payload[off:]
+	if n > uint64(len(rest)) {
+		// Every entry takes at least one byte; a larger count is corrupt
+		// (and must not size the allocation below).
+		return nil, fmt.Errorf("comm: corrupt rank-set count")
+	}
 	out := make([]int, 0, n)
 	for i := uint64(0); i < n; i++ {
 		v, k := binary.Uvarint(rest)

@@ -2,7 +2,9 @@ package compositor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
@@ -126,5 +128,60 @@ func TestComposeScratchReuseAcrossSteps(t *testing.T) {
 				t.Fatalf("pixel byte %d = %d, want %d", i, got.Pix[i], want.Pix[i])
 			}
 		}
+	}
+}
+
+// TestRecoverSteadyStateAllocBytes: once the buffer pool is warm, the
+// Recover policy's fault-free overhead — buddy replication plus the
+// agreement — must allocate less than one sub-image per rank. The replica is
+// encoded into the run scratch, decoded into a pooled buffer and released
+// at the end of the run, so replication adds no per-frame pixel garbage.
+// The overhead is measured against the same run under the fail policy,
+// which cancels what both policies share (fabric, step loop, gather).
+func TestRecoverSteadyStateAllocBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	const w, h = 128, 128
+	sched, err := schedule.NRT(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := make([]*raster.Image, sched.P)
+	for r := range layers {
+		layers[r] = raster.New(w, h)
+		for i := range layers[r].Pix {
+			layers[r].Pix[i] = uint8((i + 7*r) % 251)
+		}
+	}
+	perRank := func(opts Options) float64 {
+		run := func() {
+			err := inproc.Run(sched.P, func(c comm.Comm) error {
+				_, _, err := Run(c, sched, layers[c.Rank()], opts)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			run() // warm the buffer pool and the scratch pool
+		}
+		const runs = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / (runs * float64(sched.P))
+	}
+	fail := perRank(Options{Codec: codec.Raw{}, RecvTimeout: 10 * time.Second})
+	recov := perRank(Options{Codec: codec.Raw{}, RecvTimeout: 10 * time.Second, OnMissing: Recover})
+	subImage := float64(w * h * raster.BytesPerPixel)
+	t.Logf("bytes per rank: fail %.0f, recover %.0f (sub-image %.0f)", fail, recov, subImage)
+	if recov-fail >= subImage {
+		t.Fatalf("recover policy allocates %.0f bytes per rank beyond the fail policy, want < one sub-image (%.0f)",
+			recov-fail, subImage)
 	}
 }

@@ -45,10 +45,11 @@ func chaosSchedules(t *testing.T) map[string]*schedule.Schedule {
 }
 
 type chaosOutcome struct {
-	final   *raster.Image
-	reports []*Report
-	errs    []error
-	stats   []faulty.Stats
+	final     *raster.Image
+	reports   []*Report
+	errs      []error
+	stats     []faulty.Stats
+	deadlines []int // receives that ended at their deadline, per rank (runRecoverCase only)
 }
 
 // anyDegraded reports whether any rank flagged its result as degraded.

@@ -387,7 +387,9 @@ func (pr *pipeRun) exchangeHedgeReplicas() error {
 	end := pr.tel.Span(pr.me, telemetry.PhaseReplicate, telemetry.CatNetwork, telemetry.StepNone)
 	defer end()
 	if buddy != pr.me {
-		frame := encodeReplica(pr.local, pr.cdc)
+		scr := newRunScratch()
+		defer scr.release()
+		frame := encodeReplica(scr, pr.local, pr.cdc)
 		pr.tel.Add(pr.me, telemetry.CtrReplicaMsgs, 1)
 		pr.tel.Add(pr.me, telemetry.CtrReplicaRawBytes, int64(len(pr.local.Pix)))
 		pr.tel.Add(pr.me, telemetry.CtrReplicaWireBytes, int64(len(frame)))

@@ -1224,6 +1224,9 @@ func runPipelined(c comm.Comm, sched *schedule.Schedule, local *raster.Image, op
 	}
 	pr.run()
 	pr.teardown()
+	if recov == nil {
+		releaseImages(pr.replicas) // this run's own hedge replicas
+	}
 	pr.partials.finish()
 	pr.tel.Add(pr.me, telemetry.CtrPipeInflightMax, pr.maxInFlight.Load())
 	pr.mu.Lock()

@@ -10,16 +10,16 @@
 // peer error, a FAILED notice from another rank — aborts the attempt: the
 // aborting rank broadcasts a best-effort notice and falls through to the
 // membership agreement (comm.Agree), which every live rank runs after every
-// attempt, completed or aborted, and which doubles as the commit barrier.
-// When the agreement declares new ranks dead, the survivors advance the
-// epoch in lockstep, repair the schedule (schedule.Repair) so each dead
-// rank's layer is contributed by its buddy from the replica, and re-execute
-// under epoch-scoped tags (stale traffic from the aborted attempt dies
-// unread under its old tags). When the agreement is clean and the local
-// attempt completed, the epoch commits. When the recovery budget is
-// exhausted, or a dead rank's replica died with its buddy, one final
-// compose-partial epoch salvages what it can and the result is forcibly
-// flagged Degraded — it was never certified complete.
+// attempt, completed or aborted, carrying its abort flag, and which doubles
+// as the commit barrier. When the agreement declares new ranks dead, the
+// survivors advance the epoch in lockstep, repair the schedule
+// (schedule.Repair) so each dead rank's layer is contributed by its buddy
+// from the replica, and re-execute under epoch-scoped tags (stale traffic
+// from the aborted attempt dies unread under its old tags). When it
+// declares nobody new dead and no rank's flag is set, the epoch commits.
+// When the recovery budget is exhausted, or a dead rank's replica died with
+// its buddy, one final compose-partial epoch salvages what it can and the
+// result is forcibly flagged Degraded — it was never certified complete.
 package compositor
 
 import (
@@ -52,13 +52,6 @@ const (
 
 func commitTag(epoch int) int { return epoch<<56 | tagCommitImg }
 
-// noticePollTimeout bounds the post-agreement notice poll of a completed
-// rank. An aborter sends its notice before its agreement pings, and the
-// fabrics deliver per-pair in order, so by the time the agreement has heard
-// the aborter the notice is already in the mailbox — the poll only needs a
-// nonzero budget to look.
-const noticePollTimeout = 5 * time.Millisecond
-
 // rexec is the per-rank state of one recovering composition.
 type rexec struct {
 	c     comm.Comm
@@ -82,7 +75,7 @@ type rexec struct {
 	noticeSent bool
 
 	// maxRec and agreeTO are the resolved recovery budget and agreement
-	// timeout (see runRecover); loop() shares them with the spare path.
+	// timeout (see newRexec); loop() shares them with the spare path.
 	maxRec  int
 	agreeTO time.Duration
 
@@ -143,31 +136,9 @@ func runRecover(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 	if opts.RecvTimeout <= 0 {
 		return nil, nil, fmt.Errorf("compositor: the recover policy requires a positive RecvTimeout (failure detection is deadline-based)")
 	}
-	maxRec := opts.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = DefaultMaxRecoveries
-	} else if maxRec < 0 {
-		maxRec = 0
-	}
-	agreeTO := opts.AgreeTimeout
-	if agreeTO <= 0 {
-		agreeTO = 3 * opts.RecvTimeout
-	}
-	rx := &rexec{
-		c:       c,
-		sched:   sched,
-		local:   local,
-		opts:    opts,
-		cdc:     cdc,
-		rep:     &Report{Rank: c.Rank()},
-		tel:     opts.Telemetry,
-		me:      c.Rank(),
-		mem:     comm.NewMembership(sched.P),
-		scr:     newRunScratch(),
-		maxRec:  maxRec,
-		agreeTO: agreeTO,
-	}
+	rx := newRexec(c, sched, local, opts, cdc, &Report{Rank: c.Rank()}, comm.NewMembership(sched.P))
 	defer rx.scr.release()
+	defer func() { releaseImages(rx.replicas) }()
 	if src := opts.Pipeline.Source; opts.Pipeline.Enabled && src != nil {
 		// The replica exchange ships the complete local sub-image, so the
 		// render must finish before replication: Recover trades render
@@ -196,6 +167,23 @@ func runRecover(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 		aborted = aborted || scrubAborted
 	}
 	return rx.loop(aborted)
+}
+
+// newRexec returns one rank's epoch engine starting from membership mem,
+// with opts' recovery budget and agreement timeout resolved.
+func newRexec(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options,
+	cdc codec.Codec, rep *Report, mem *comm.Membership) *rexec {
+	rx := &rexec{c: c, sched: sched, local: local, opts: opts, cdc: cdc, rep: rep, tel: opts.Telemetry,
+		me: c.Rank(), mem: mem, scr: newRunScratch(), maxRec: opts.MaxRecoveries, agreeTO: opts.AgreeTimeout}
+	if rx.maxRec == 0 {
+		rx.maxRec = DefaultMaxRecoveries
+	} else if rx.maxRec < 0 {
+		rx.maxRec = 0
+	}
+	if rx.agreeTO <= 0 {
+		rx.agreeTO = 3 * opts.RecvTimeout
+	}
+	return rx
 }
 
 // loop is the epoch engine shared by the survivors (runRecover) and a
@@ -240,14 +228,14 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 		}
 
 		endAgree := rx.tel.Span(rx.me, telemetry.PhaseAgree, telemetry.CatNetwork, telemetry.StepNone)
-		newDead, err := comm.Agree(c, rx.mem, rx.agreeTO)
+		newDead, anyAborted, err := comm.Agree(c, rx.mem, aborted, rx.agreeTO)
 		endAgree()
 		if err != nil {
 			// Includes comm.ErrEvicted: the survivors condemned this rank
 			// under too-tight deadlines; it must stop participating.
 			return nil, nil, fmt.Errorf("compositor: epoch %d agreement: %w", rx.mem.Epoch(), err)
 		}
-		if !aborted && len(newDead) == 0 && !rx.noticePending() {
+		if !aborted && len(newDead) == 0 && !anyAborted {
 			// Commit: the attempt completed everywhere and nobody died.
 			rx.rep.Recovered = rx.mem.NumDead() > 0
 			rx.rep.RecoveryEpochs = recoveries
@@ -326,16 +314,21 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	return final, rx.rep, nil
 }
 
-// encodeReplica frames the local sub-image for the buddy exchange:
-// uvarint width, uvarint height, then the codec-compressed pixels.
-func encodeReplica(img *raster.Image, cdc codec.Codec) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	buf := append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], uint64(img.W))]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(img.H))]...)
-	return append(buf, cdc.Encode(img.Pix)...)
+// encodeReplica frames the local sub-image for the buddy exchange into the
+// run scratch: uvarint width, uvarint height, then the codec-compressed
+// pixels. The frame lives in scr.enc until the scratch's next use; Send
+// copies it, so the caller sends it and moves on.
+func encodeReplica(scr *runScratch, img *raster.Image, cdc codec.Codec) []byte {
+	buf := scr.reserveEnc(2*binary.MaxVarintLen64 + encBound(len(img.Pix)))
+	buf = binary.AppendUvarint(buf, uint64(img.W))
+	buf = binary.AppendUvarint(buf, uint64(img.H))
+	scr.enc = cdc.EncodeAppend(buf, img.Pix)
+	return scr.enc
 }
 
-// decodeReplica inverts encodeReplica; all failures wrap codec.ErrCorrupt.
+// decodeReplica inverts encodeReplica into a pooled pixel buffer (release
+// it with bufpool.Put); all failures wrap codec.ErrCorrupt. The image never
+// aliases payload, so the wire buffer recycles either way.
 func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, error) {
 	rw, off := binary.Uvarint(payload)
 	if off <= 0 {
@@ -347,19 +340,24 @@ func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, er
 		return nil, fmt.Errorf("compositor: %w: replica height", codec.ErrCorrupt)
 	}
 	rest = rest[off:]
-	if int(rw) != w || int(rh) != h {
+	if rw != uint64(w) || rh != uint64(h) {
 		return nil, fmt.Errorf("compositor: %w: replica is %dx%d, want %dx%d", codec.ErrCorrupt, rw, rh, w, h)
 	}
-	data, err := cdc.Decode(rest, w*h)
+	buf := bufpool.Get(w * h * raster.BytesPerPixel)
+	pix, err := cdc.DecodeInto(buf, rest, w*h)
 	if err != nil {
+		bufpool.Put(buf)
 		return nil, fmt.Errorf("compositor: decoding replica: %w", err)
 	}
-	img := raster.New(w, h)
-	if len(data) != len(img.Pix) {
-		return nil, fmt.Errorf("compositor: %w: replica has %d pixel bytes, want %d", codec.ErrCorrupt, len(data), len(img.Pix))
+	return &raster.Image{W: w, H: h, Pix: pix}, nil
+}
+
+// releaseImages returns replica pixels to the buffer pool once a run is
+// over: nothing a run returns aliases a replica (staging copies it).
+func releaseImages(imgs map[int]*raster.Image) {
+	for _, img := range imgs {
+		bufpool.Put(img.Pix)
 	}
-	copy(img.Pix, data)
-	return img, nil
 }
 
 // exchangeReplicas ships the local sub-image to this rank's buddy and
@@ -378,7 +376,7 @@ func (rx *rexec) exchangeReplicas() (map[int]*raster.Image, bool, error) {
 	defer endRep()
 
 	aborted := false
-	frame := encodeReplica(rx.local, rx.cdc)
+	frame := encodeReplica(rx.scr, rx.local, rx.cdc)
 	buddy := schedule.Buddy(rx.me, p)
 	if err := rx.c.Send(buddy, tagReplica, frame); err != nil {
 		if !comm.IsRecoverable(err) {
@@ -433,8 +431,6 @@ func (rx *rexec) exchangeReplicas() (map[int]*raster.Image, bool, error) {
 		delete(pending, from)
 		rx.opts.Health.Ok(from)
 		img, derr := decodeReplica(payload, rx.cdc, rx.local.W, rx.local.H)
-		// decodeReplica copies the pixels into a fresh image (even when the
-		// codec aliases its input), so the wire buffer recycles either way.
 		bufpool.Put(payload)
 		if derr != nil {
 			// A corrupt replica is dropped: the primary path does not need
@@ -627,23 +623,6 @@ func (rx *rexec) epochAttempt(plan *schedule.Schedule, owners []int, replicas ma
 		return nil, rx.abort(nil), nil
 	}
 	return out, false, nil
-}
-
-// noticePending polls for an unconsumed FAILED notice of the current epoch.
-// A rank whose attempt completed must check before committing: a peer may
-// have aborted after this rank stopped listening (its notice sits in the
-// mailbox), yet answered the agreement so no one looks dead.
-func (rx *rexec) noticePending() bool {
-	keys := rx.mem.NoticeKeys(rx.me)
-	if len(keys) == 0 {
-		return false
-	}
-	_, _, _, err := rx.c.RecvAnyTimeout(keys, noticePollTimeout)
-	if err == nil {
-		return true
-	}
-	// A peer failure right at the commit point also forces a retry.
-	return !errors.Is(err, comm.ErrDeadline) && comm.IsRecoverable(err)
 }
 
 // commitBroadcast redistributes the certified image from the gather root to

@@ -11,6 +11,8 @@ import (
 	"rtcomp/internal/compose"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
+	"rtcomp/internal/telemetry"
+	"rtcomp/internal/traceid"
 	"rtcomp/internal/transport/faulty"
 	"rtcomp/internal/transport/inproc"
 )
@@ -30,20 +32,23 @@ func runRecoverCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Ima
 	t.Helper()
 	p := sched.P
 	out := chaosOutcome{
-		reports: make([]*Report, p),
-		errs:    make([]error, p),
-		stats:   make([]faulty.Stats, p),
+		reports:   make([]*Report, p),
+		errs:      make([]error, p),
+		stats:     make([]faulty.Stats, p),
+		deadlines: make([]int, p),
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		inproc.Run(p, func(inner comm.Comm) error {
 			ep := faulty.Wrap(inner, faulty.Plan{Seed: 41, DieAfterSends: dieAfter[inner.Rank()]})
-			img, rep, err := Run(ep, sched, layers[inner.Rank()], opts)
+			probe := &probeComm{Comm: ep}
+			img, rep, err := Run(probe, sched, layers[inner.Rank()], opts)
 			r := inner.Rank()
 			out.reports[r] = rep
 			out.errs[r] = err
 			out.stats[r] = ep.Stats()
+			out.deadlines[r] = probe.deadlines
 			if img != nil && r == 0 {
 				out.final = img
 			}
@@ -56,6 +61,43 @@ func runRecoverCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Ima
 		t.Fatalf("recovery case HUNG: schedule did not terminate within the watchdog")
 	}
 	return out
+}
+
+// probeComm wraps one rank's endpoint for the recovery tests. It counts the
+// receives that end at their deadline and, while cut is set, truncates by
+// one byte the first received payload whose tag cut selects, after holding
+// it for cutDelay.
+type probeComm struct {
+	comm.Comm
+	deadlines int
+	cut       func(tag int) bool
+	cutDelay  time.Duration
+}
+
+// SendCtx keeps the wrapped fabric's trace contexts.
+func (p *probeComm) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
+	return comm.SendCtx(p.Comm, to, tag, payload, tc)
+}
+
+func (p *probeComm) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error) {
+	data, err := p.Comm.RecvTimeout(from, tag, timeout)
+	if errors.Is(err, comm.ErrDeadline) {
+		p.deadlines++
+	}
+	return data, err
+}
+
+func (p *probeComm) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
+	from, tag, data, err := p.Comm.RecvAnyTimeout(keys, timeout)
+	if errors.Is(err, comm.ErrDeadline) {
+		p.deadlines++
+	}
+	if err == nil && p.cut != nil && p.cut(tag) {
+		p.cut = nil
+		time.Sleep(p.cutDelay)
+		data = data[:len(data)-1]
+	}
+	return from, tag, data, err
 }
 
 func recoverOptions(cdc codec.Codec) Options {
@@ -121,12 +163,27 @@ func TestRecoverSingleDeathDifferential(t *testing.T) {
 }
 
 // TestRecoverNoFailureStaysClean: with nobody dying, the Recover policy
-// must be a pass-through — exact image, no Recovered flag, zero epochs.
+// must be a pass-through — exact image, no Recovered flag, zero epochs — and
+// no receive may wait out a deadline: a fault-free frame commits as soon as
+// the agreement completes.
 func TestRecoverNoFailureStaysClean(t *testing.T) {
 	for name, sched := range chaosSchedules(t) {
 		t.Run(name, func(t *testing.T) {
 			layers, want := chaosLayers(32, sched.P)
-			o := runRecoverCase(t, sched, layers, nil, recoverOptions(codec.TRLE{}))
+			opts := recoverOptions(codec.TRLE{})
+			rec := telemetry.New()
+			opts.Telemetry = rec
+			o := runRecoverCase(t, sched, layers, nil, opts)
+			for r, n := range o.deadlines {
+				if n != 0 {
+					t.Errorf("rank %d: %d receives ended at their deadline on a fault-free run", r, n)
+				}
+			}
+			for k, v := range rec.Counters() {
+				if k.Name == telemetry.CtrDeadlineHits && v != 0 {
+					t.Errorf("rank %d: %s = %d on a fault-free run", k.Rank, k.Name, v)
+				}
+			}
 			for r, err := range o.errs {
 				if err != nil {
 					t.Errorf("rank %d failed: %v", r, err)
@@ -286,6 +343,67 @@ func TestRecoverBroadcastDeliversToAllSurvivors(t *testing.T) {
 		}
 		if finals[r] == nil || !raster.Equal(finals[r], want) {
 			t.Errorf("survivor rank %d did not receive the certified image", r)
+		}
+	}
+}
+
+// TestRecoverLateAbortBlocksCommit: one rank aborts its attempt after the
+// other ranks have completed theirs — its final-step payload arrives
+// truncated, so it fails with codec.ErrCorrupt and aborts naming no suspect.
+// The completed ranks are no longer listening for its FAILED notice, and
+// the agreement declares nobody dead; only the abort flag the aborter
+// carries into the agreement keeps them from committing epoch 0. Every rank
+// must re-execute once and deliver the exact image.
+func TestRecoverLateAbortBlocksCommit(t *testing.T) {
+	for _, cname := range []string{"raw", "rle", "trle"} {
+		for name, sched := range chaosSchedules(t) {
+			t.Run(cname+"/"+name, func(t *testing.T) {
+				cdc, err := codec.ByName(cname)
+				if err != nil {
+					t.Fatal(err)
+				}
+				layers, want := chaosLayers(37, sched.P)
+				last := len(sched.Steps) - 1
+				tr := sched.Steps[last].Transfers[0]
+				finalTag := tagFor(0, last, tr.Block)
+				opts := recoverOptions(cdc)
+				opts.RecvTimeout = 2 * time.Second
+				opts.Broadcast = true
+				p := sched.P
+				finals := make([]*raster.Image, p)
+				reps := make([]*Report, p)
+				errs := make([]error, p)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					inproc.Run(p, func(c comm.Comm) error {
+						probe := &probeComm{Comm: c}
+						if c.Rank() == tr.To {
+							probe.cut = func(tag int) bool { return tag == finalTag }
+							probe.cutDelay = 50 * time.Millisecond
+						}
+						finals[c.Rank()], reps[c.Rank()], errs[c.Rank()] = Run(probe, sched, layers[c.Rank()], opts)
+						return nil
+					})
+				}()
+				select {
+				case <-done:
+				case <-time.After(60 * time.Second):
+					t.Fatal("late-abort case HUNG")
+				}
+				for r := 0; r < p; r++ {
+					if errs[r] != nil {
+						t.Errorf("rank %d failed: %v", r, errs[r])
+						continue
+					}
+					if finals[r] == nil || !raster.Equal(finals[r], want) {
+						t.Errorf("rank %d image differs from the serial composite", r)
+					}
+					if rep := reps[r]; rep.RecoveryEpochs != 1 || rep.Degraded || rep.Recovered {
+						t.Errorf("rank %d report %+v, want one re-executed epoch and a clean result", r, rep)
+					}
+				}
+			})
 		}
 	}
 }

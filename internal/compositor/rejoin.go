@@ -44,6 +44,11 @@ import (
 // enough that a real frame is a handful of messages.
 const rejoinChunkSize = 4 << 10
 
+// helloCoalesceTimeout is the short poll a survivor repeats after the first
+// JOIN-HELLO lands, collecting the other dead slots' hellos already in
+// flight so every survivor builds its offers from the same set.
+const helloCoalesceTimeout = 5 * time.Millisecond
+
 // Epoch-0-style reserved tags of the scrub exchange, in the same sub-2^40
 // band as the replica exchange (step tags always carry step+1 >= 1 in bits
 // 40+). The exchange runs once, before epoch 0's attempt, so the tags need
@@ -154,10 +159,10 @@ func (rx *rexec) rejoinOnce(deadline time.Time) (int, error) {
 		keys = append(keys, comm.MsgKey{From: d, Tag: comm.TagJoinHello})
 	}
 	for len(keys) > 0 {
-		timeout := noticePollTimeout
+		timeout := helloCoalesceTimeout
 		if len(hellos) == 0 {
-			if timeout = time.Until(deadline); timeout < noticePollTimeout {
-				timeout = noticePollTimeout
+			if timeout = time.Until(deadline); timeout < helloCoalesceTimeout {
+				timeout = helloCoalesceTimeout
 			}
 		}
 		from, _, payload, err := rx.c.RecvAnyTimeout(keys, timeout)
@@ -525,31 +530,9 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 
 	// Continue as a full member: the same epoch engine the survivors run,
 	// resumed at the certified join epoch with the certified dead set.
-	maxRec := opts.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = DefaultMaxRecoveries
-	} else if maxRec < 0 {
-		maxRec = 0
-	}
-	agreeTO := opts.AgreeTimeout
-	if agreeTO <= 0 {
-		agreeTO = 3 * opts.RecvTimeout
-	}
-	rx := &rexec{
-		c:        c,
-		sched:    sched,
-		local:    local,
-		opts:     opts,
-		cdc:      cdc,
-		rep:      &Report{Rank: me, Rejoined: true, RejoinEpochs: 1, RejoinedRanks: []int{me}},
-		tel:      tel,
-		me:       me,
-		mem:      comm.Resume(p, admit.Epoch, admit.Dead),
-		scr:      newRunScratch(),
-		maxRec:   maxRec,
-		agreeTO:  agreeTO,
-		replicas: replicas,
-	}
+	rep := &Report{Rank: me, Rejoined: true, RejoinEpochs: 1, RejoinedRanks: []int{me}}
+	rx := newRexec(c, sched, local, opts, cdc, rep, comm.Resume(p, admit.Epoch, admit.Dead))
+	rx.replicas = replicas
 	defer rx.scr.release()
 	if opts.ScrubReplicas {
 		// Track the restored replicas so a later scrub-style verification

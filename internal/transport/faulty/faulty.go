@@ -275,7 +275,10 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 	// can be recycled.
 	err := deliver()
 	if err == nil && dup {
-		err = redeliver()
+		// The duplicate is the network's doing, not the sender's: like a
+		// delayed duplicate, its failure (the receiver consumed the
+		// original and already closed) is not reported to the sender.
+		_ = redeliver()
 	}
 	bufpool.Put(buf)
 	return err
