@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -128,8 +129,9 @@ type Options struct {
 	// deadlines learned from observed latency (see gray.Estimator): warm
 	// peers get tight deadlines, cold peers fall back to RecvTimeout. It
 	// also derives the hedge trigger when HedgeConfig.Threshold is zero.
-	// The estimator should persist across frames of one run so later frames
-	// benefit from earlier ones.
+	// It applies to every synchronous attempt, Recover epochs included, and
+	// to the pipelined receiver. The estimator should persist across frames
+	// of one run so later frames benefit from earlier ones.
 	Adaptive *gray.Estimator
 	// Health, when non-nil, accumulates gray-failure signals per peer —
 	// deadline misses, hedges won, session retransmits — and gates the
@@ -222,7 +224,7 @@ func Run(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Option
 		final, _, err = runPipelined(c, sched, local, opts, cdc, rep, nil)
 	} else {
 		scr := newRunScratch()
-		final, err = runOnce(c, sched, local, opts, cdc, rep, 0, nil, nil, nil, scr)
+		final, _, err = runAttempt(c, sched, local, opts, cdc, rep, scr, nil, nil)
 		scr.release()
 	}
 	if err != nil {
@@ -232,38 +234,73 @@ func Run(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Option
 	return final, rep, nil
 }
 
-// runOnce executes one epoch of a plan under the FailFast/ComposePartial
-// semantics: stage, step loop, gap filling, completeness check, gather and
-// optional broadcast. The recovery path reuses it for the compose-partial
-// fallback epoch, staging replica layers at their owners (owners[l] is the
-// rank contributing layer l, -1 = absent) and skipping ranks known dead.
-// Tags are scoped by epoch so a re-execution never consumes traffic from
-// an aborted attempt.
-func runOnce(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec,
-	rep *Report, epoch int, owners []int, replicas map[int]*raster.Image, dead []bool, scr *runScratch) (*raster.Image, error) {
-	me := c.Rank()
-	st := fragstore.New(me, sched, local)
-	tel := opts.Telemetry
+// errAborted is the internal result of a Recover attempt abandoned to the
+// membership agreement; runAttempt turns it into aborted == true.
+var errAborted = errors.New("compositor: attempt aborted")
+
+// attempt is one synchronous execution of a plan on this rank — the step
+// loop and the gather that every fault policy shares. The policies differ
+// only in the attempt's reaction at a fault site (fault and deadline).
+type attempt struct {
+	c     comm.Comm
+	opts  Options // OnMissing selects the reaction
+	cdc   codec.Codec
+	rep   *Report
+	tel   *telemetry.Recorder
+	scr   *runScratch
+	rx    *rexec // epoch, membership, notices and replicas; nil for a plain fail or partial run
+	me    int
+	epoch int
+}
+
+// runAttempt executes one epoch of plan: it stages the replica layers this
+// rank contributes for dead ranks (owners[l] is the rank contributing layer
+// l, -1 = absent), runs the step loop, coalesces, fills gaps under
+// ComposePartial, checks completeness, gathers and — outside Recover, whose
+// broadcast waits for the commit decision — broadcasts. Tags are scoped by
+// epoch, so a re-execution never consumes traffic from an aborted attempt.
+// aborted reports a Recover attempt abandoned to the membership agreement.
+func runAttempt(c comm.Comm, plan *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec,
+	rep *Report, scr *runScratch, rx *rexec, owners []int) (final *raster.Image, aborted bool, err error) {
+	a := &attempt{c: c, opts: opts, cdc: cdc, rep: rep, tel: opts.Telemetry, scr: scr, rx: rx, me: c.Rank()}
+	if rx != nil {
+		a.epoch = rx.mem.Epoch()
+	}
+	final, err = a.run(plan, local, owners)
+	if errors.Is(err, errAborted) {
+		return nil, true, nil
+	}
+	return final, false, err
+}
+
+func (a *attempt) run(plan *schedule.Schedule, local *raster.Image, owners []int) (*raster.Image, error) {
+	st := fragstore.New(a.me, plan, local)
 	for l, o := range owners {
-		if o != me || l == me {
+		if o != a.me || l == a.me {
 			continue
 		}
-		img := replicas[l]
+		img := a.rx.replicas[l]
 		if img == nil {
-			// The replica never arrived; the layer stays absent and the
-			// gap-filling pass blanks it like any missing contribution.
-			continue
+			// Assigned a dead rank's layer without holding its replica.
+			// Partial leaves the layer absent for the gap-filling pass to
+			// blank and count. Recover cannot certify completeness, and
+			// retries cannot fix this, so its budget drains into the
+			// fallback epoch.
+			if a.opts.OnMissing == ComposePartial {
+				continue
+			}
+			return nil, a.fault(fmt.Errorf("compositor: no replica of layer %d", l), nil, nil, 0)
 		}
 		overPix, err := st.InsertLayer(l, img)
 		if err != nil {
 			return nil, err
 		}
-		rep.OverPixels += overPix
+		a.rep.OverPixels += overPix
 	}
 
-	for si, step := range sched.Steps {
-		if opts.OnStep != nil {
-			opts.OnStep(si)
+	for si, step := range plan.Steps {
+		if a.opts.OnStep != nil {
+			a.opts.OnStep(si)
 		}
 		for h := 0; h < step.PreHalvings; h++ {
 			st.HalveAll()
@@ -272,94 +309,35 @@ func runOnce(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Op
 		// order (RecvAny): the fabric buffers, so a stepwise schedule
 		// cannot deadlock, and arrival-order processing avoids
 		// head-of-line blocking when several messages are outstanding.
-		clear(scr.pending)
-		pending := scr.pending
+		a.scr.keys, a.scr.trs = a.scr.keys[:0], a.scr.trs[:0]
 		for _, tr := range step.Transfers {
 			switch {
-			case tr.From == me:
-				if err := send(c, st, cdc, rep, tel, epoch, si, tr, scr); err != nil {
-					if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-						rep.Degraded = true
-						rep.MissingTransfers++
-						continue
+			case tr.From == a.me:
+				if err := send(a.c, st, a.cdc, a.rep, a.tel, a.epoch, si, tr, a.scr); err != nil {
+					err = fmt.Errorf("compositor: step %d: %w", si+1, err)
+					if !comm.IsRecoverable(err) {
+						return nil, err
 					}
-					return nil, fmt.Errorf("compositor: step %d: %w", si+1, err)
+					if err := a.fault(err, suspectsOf(err, tr.To), &a.rep.MissingTransfers, 1); err != nil {
+						return nil, err
+					}
 				}
-			case tr.To == me:
-				pending[comm.MsgKey{From: tr.From, Tag: tagFor(epoch, si, tr.Block)}] = tr
+			case tr.To == a.me:
+				a.scr.keys = append(a.scr.keys, comm.MsgKey{From: tr.From, Tag: tagFor(a.epoch, si, tr.Block)})
+				a.scr.trs = append(a.scr.trs, tr)
 			}
 		}
-		keys := scr.keys[:0]
-		for k := range pending {
-			keys = append(keys, k)
-		}
-		scr.keys = keys[:0:cap(keys)]
-		for len(pending) > 0 {
-			// With an estimator, the receive deadline is the widest adaptive
-			// deadline across the peers still owing data (falling back to
-			// the static RecvTimeout while they are cold).
-			timeout := opts.RecvTimeout
-			if opts.Adaptive != nil {
-				var adaptive time.Duration
-				for k := range pending {
-					if d := opts.Adaptive.Deadline(gray.ClassStep, k.From); d > adaptive {
-						adaptive = d
-					}
-				}
-				if adaptive > 0 {
-					timeout = adaptive
-				}
+		err := a.receive(si, &a.rep.MissingTransfers, func(tr schedule.Transfer, payload []byte) error {
+			err := merge(st, a.cdc, a.rep, a.tel, si, tr, payload, a.scr)
+			if errors.Is(err, codec.ErrCorrupt) {
+				// A corrupt payload is lost like a dropped message; its
+				// sender is alive, so a clean re-execution may succeed.
+				return a.fault(err, nil, &a.rep.MissingTransfers, 1)
 			}
-			endRecv := tel.Span(me, telemetry.PhaseRecv, telemetry.CatNetwork, si)
-			recvT0 := time.Now()
-			from, tag, payload, err := c.RecvAnyTimeout(keys, timeout)
-			endRecv()
-			if err != nil {
-				if errors.Is(err, comm.ErrDeadline) {
-					tel.Add(me, telemetry.CtrDeadlineHits, 1)
-					for k := range pending {
-						opts.Health.DeadlineMiss(k.From)
-					}
-				}
-				if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-					rep.Degraded = true
-					if dropped, ok := dropFailedPeer(err, pending, &keys); ok {
-						// Only that peer's messages are hopeless; keep
-						// waiting for the remaining sources.
-						rep.MissingTransfers += dropped
-						continue
-					}
-					// Deadline elapsed: everything still pending missed it.
-					rep.MissingTransfers += len(pending)
-					break
-				}
-				return nil, fmt.Errorf("compositor: step %d: %w", si+1, err)
-			}
-			if opts.Adaptive != nil {
-				opts.Adaptive.Observe(gray.ClassStep, from, time.Since(recvT0))
-			}
-			opts.Health.Ok(from)
-			key := comm.MsgKey{From: from, Tag: tag}
-			tr, ok := pending[key]
-			if !ok {
-				return nil, fmt.Errorf("compositor: unexpected message from rank %d tag %d", from, tag)
-			}
-			delete(pending, key)
-			for i, k := range keys {
-				if k == key {
-					keys = append(keys[:i], keys[i+1:]...)
-					break
-				}
-			}
-			if err := merge(st, cdc, rep, tel, si, tr, payload, scr); err != nil {
-				if opts.OnMissing == ComposePartial && errors.Is(err, codec.ErrCorrupt) {
-					// A corrupt payload is discarded like a lost message.
-					rep.Degraded = true
-					rep.MissingTransfers++
-					continue
-				}
-				return nil, err
-			}
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		for h := 0; h < step.PostHalvings; h++ {
 			st.HalveAll()
@@ -373,42 +351,235 @@ func runOnce(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Op
 	if err != nil {
 		return nil, err
 	}
-	rep.OverPixels += overPix
-	if opts.OnMissing == ComposePartial {
-		missing, err := st.FillGaps(sched.P)
+	a.rep.OverPixels += overPix
+	if a.opts.OnMissing == ComposePartial {
+		missing, err := st.FillGaps(plan.P)
 		if err != nil {
 			return nil, err
 		}
-		rep.MissingLayerPix += missing
+		a.rep.MissingLayerPix += missing
 		if missing > 0 {
-			rep.Degraded = true
+			a.rep.Degraded = true
 		}
 	}
-	if err := st.CheckComplete(sched.P); err != nil {
-		return nil, err
+	if err := st.CheckComplete(plan.P); err != nil {
+		// The plan finished but some block is not fully composited — only
+		// possible when a contribution silently vanished.
+		return nil, a.fault(err, nil, nil, 0)
 	}
-	rep.FinalBlocks = st.Len()
+	a.rep.FinalBlocks = st.Len()
 
-	var final *raster.Image
-	if opts.GatherRoot >= 0 {
-		endGather := tel.Span(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone)
-		img, err := gather(c, st, rep, opts, epoch, dead, local.W, local.H, scr)
-		endGather()
-		if err != nil {
-			return nil, err
-		}
-		// The gather consumed the composited blocks (copied onto the wire or
-		// into the final image); their buffers feed the next composition.
+	if a.opts.GatherRoot < 0 {
 		st.Release()
-		final = img
-		if opts.Broadcast {
-			final, err = broadcastFinal(c, opts, rep, img, local.W, local.H)
-			if err != nil {
+		return nil, nil
+	}
+	endGather := a.tel.Span(a.me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone)
+	final, err := a.gatherFinal(st, local.W, local.H)
+	endGather()
+	// The gather consumed the composited blocks (copied onto the wire or
+	// into the final image); their buffers feed the next composition.
+	st.Release()
+	if err != nil || a.opts.OnMissing == Recover || !a.opts.Broadcast {
+		return final, err
+	}
+	return broadcastFinal(a.c, a.opts, a.rep, final, local.W, local.H)
+}
+
+// gatherFinal ships every rank's final blocks to the gather root and
+// assembles the final image there, receiving in arrival order from the
+// ranks the membership holds alive.
+func (a *attempt) gatherFinal(st *fragstore.Store, w, h int) (*raster.Image, error) {
+	root := a.opts.GatherRoot
+	need := 16
+	for _, b := range st.Blocks() {
+		need += len(st.Frags(b)[0].Data) + 32
+	}
+	buf := encodeFinalBlocks(a.scr.reserveEnc(need), st)
+	a.scr.enc = buf[:0:cap(buf)]
+	if a.me != root {
+		if err := a.c.Send(root, gatherTag(a.epoch), buf); err != nil {
+			err = fmt.Errorf("compositor: gather send: %w", err)
+			if !comm.IsRecoverable(err) {
 				return nil, err
 			}
+			return nil, a.fault(err, suspectsOf(err, root), &a.rep.MissingGathers, 1)
+		}
+		return nil, nil
+	}
+	out := raster.New(w, h)
+	covered, err := insertFinalBlocks(out, st.Tiles(), buf, root)
+	if err != nil {
+		return nil, err
+	}
+	a.scr.keys, a.scr.trs = a.scr.keys[:0], a.scr.trs[:0]
+	for r := 0; r < a.c.Size(); r++ {
+		if r != root && (a.rx == nil || a.rx.mem.Alive(r)) {
+			a.scr.keys = append(a.scr.keys, comm.MsgKey{From: r, Tag: gatherTag(a.epoch)})
+			a.scr.trs = append(a.scr.trs, schedule.Transfer{From: r, To: root})
 		}
 	}
-	return final, nil
+	err = a.receive(telemetry.StepNone, &a.rep.MissingGathers, func(tr schedule.Transfer, part []byte) error {
+		n, err := insertFinalBlocks(out, st.Tiles(), part, tr.From)
+		bufpool.Put(part) // InsertSpan copied the pixels out
+		covered += n
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if covered != w*h && !a.rep.Degraded {
+		return nil, a.fault(fmt.Errorf("compositor: gathered blocks cover %d of %d pixels", covered, w*h), nil, nil, 0)
+	}
+	return out, nil
+}
+
+// receive drains the messages staged in scr.keys (with their transfers in
+// scr.trs) in arrival order, handing each payload to deliver; si is the
+// step, or telemetry.StepNone for the gather. Under Recover it also listens
+// for this epoch's FAILED notices. The deadline is the widest adaptive
+// deadline across the senders still owing data, falling back to RecvTimeout
+// while they are cold, and every arrival feeds the estimator and the health
+// score. A lost message goes through fault, which under ComposePartial
+// counts it in *lost.
+func (a *attempt) receive(si int, lost *int, deliver func(tr schedule.Transfer, payload []byte) error) error {
+	cls := gray.ClassStep
+	if si == telemetry.StepNone {
+		cls = gray.ClassGather
+	}
+	keys, trs := a.scr.keys, a.scr.trs // keys[:len(trs)] are owed; the rest are notices
+	defer func() { a.scr.keys, a.scr.trs = keys[:0], trs[:0] }()
+	if a.opts.OnMissing == Recover && len(trs) > 0 {
+		keys = append(keys, a.rx.mem.NoticeKeys(a.me)...)
+	}
+	for len(trs) > 0 {
+		timeout := a.opts.RecvTimeout
+		if a.opts.Adaptive != nil {
+			var adaptive time.Duration
+			for _, tr := range trs {
+				if d := a.opts.Adaptive.Deadline(cls, tr.From); d > adaptive {
+					adaptive = d
+				}
+			}
+			if adaptive > 0 {
+				timeout = adaptive
+			}
+		}
+		endRecv := func() {}
+		if si != telemetry.StepNone {
+			// The gather is timed as a whole by its own span.
+			endRecv = a.tel.Span(a.me, telemetry.PhaseRecv, telemetry.CatNetwork, si)
+		}
+		recvT0 := time.Now()
+		from, tag, payload, err := a.c.RecvAnyTimeout(keys, timeout)
+		endRecv()
+		if err != nil {
+			if si == telemetry.StepNone {
+				err = fmt.Errorf("compositor: gather: %w", err)
+			} else {
+				err = fmt.Errorf("compositor: step %d: %w", si+1, err)
+			}
+			if !comm.IsRecoverable(err) {
+				return err
+			}
+			var perr *comm.PeerError
+			if errors.As(err, &perr) {
+				// Only that peer's messages are hopeless; partial keeps
+				// waiting for the remaining sources.
+				n := len(trs)
+				keys, trs = dropFrom(keys, trs, perr.Rank)
+				if err := a.fault(err, []int{perr.Rank}, lost, n-len(trs)); err != nil {
+					return err
+				}
+				continue
+			}
+			suspects := senders(trs)
+			if errors.Is(err, comm.ErrDeadline) && a.deadline(suspects) {
+				continue
+			}
+			// Everything still owed missed the deadline.
+			return a.fault(err, suspects, lost, len(trs))
+		}
+		i := 0
+		for i < len(trs) && keys[i] != (comm.MsgKey{From: from, Tag: tag}) {
+			i++
+		}
+		if i == len(trs) {
+			bufpool.Put(payload)
+			if a.opts.OnMissing == Recover && tag == comm.NoticeTag(a.epoch) {
+				// A peer already broadcast this epoch's failure; no need
+				// to repeat it.
+				return errAborted
+			}
+			return fmt.Errorf("compositor: unexpected message from rank %d tag %d", from, tag)
+		}
+		if a.opts.Adaptive != nil {
+			a.opts.Adaptive.Observe(cls, from, time.Since(recvT0))
+		}
+		a.opts.Health.Ok(from)
+		tr := trs[i]
+		keys, trs = append(keys[:i], keys[i+1:]...), append(trs[:i], trs[i+1:]...)
+		if err := deliver(tr, payload); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fault is the attempt's one reaction to a fault, the only place the
+// policies differ. FailFast returns err. ComposePartial drops the lost work
+// — it flags the result Degraded, adds n to *lost and carries on — unless
+// the fault leaves nothing to drop (lost == nil). Recover broadcasts this
+// epoch's FAILED notice naming the suspects and abandons the attempt.
+func (a *attempt) fault(err error, suspects []int, lost *int, n int) error {
+	switch {
+	case a.opts.OnMissing == Recover:
+		a.rx.abort(suspects)
+		return errAborted
+	case a.opts.OnMissing == ComposePartial && lost != nil:
+		a.rep.Degraded = true
+		*lost += n
+		return nil
+	}
+	return err
+}
+
+// deadline charges one receive deadline to each suspect and reports whether
+// to keep waiting: under Recover it is graceOrEscalate's brownout-vs-death
+// decision; the other policies never wait past a deadline.
+func (a *attempt) deadline(suspects []int) bool {
+	a.tel.Add(a.me, telemetry.CtrDeadlineHits, 1)
+	if a.opts.OnMissing == Recover {
+		return a.rx.graceOrEscalate(suspects)
+	}
+	for _, s := range suspects {
+		a.opts.Health.DeadlineMiss(s)
+	}
+	return false
+}
+
+// senders lists the distinct source ranks of the transfers, ascending.
+func senders(trs []schedule.Transfer) []int {
+	out := make([]int, 0, len(trs))
+	for _, tr := range trs {
+		if !slices.Contains(out, tr.From) {
+			out = append(out, tr.From)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// dropFrom removes the owed messages sent by rank, keeping the notice keys
+// past them, and returns the shortened slices.
+func dropFrom(keys []comm.MsgKey, trs []schedule.Transfer, rank int) ([]comm.MsgKey, []schedule.Transfer) {
+	n := len(trs)
+	keptKeys, keptTrs := keys[:0], trs[:0]
+	for i, tr := range trs {
+		if tr.From != rank {
+			keptKeys, keptTrs = append(keptKeys, keys[i]), append(keptTrs, tr)
+		}
+	}
+	return append(keptKeys, keys[n:]...), keptTrs
 }
 
 // broadcastFinal redistributes the assembled image from the gather root so
@@ -466,48 +637,24 @@ const tagGatherFinal = (1 << 39) + 0x6A74
 // gatherTag scopes the final-block gather to a recovery epoch.
 func gatherTag(epoch int) int { return epoch<<56 | tagGatherFinal }
 
-// dropFailedPeer, given a receive error, removes the pending transfers
-// sourced at the failed peer (if the error names one) and reports how many
-// were dropped; ok is false when the error is not peer-attributed.
-func dropFailedPeer(err error, pending map[comm.MsgKey]schedule.Transfer, keys *[]comm.MsgKey) (dropped int, ok bool) {
-	var perr *comm.PeerError
-	if !errors.As(err, &perr) {
-		return 0, false
-	}
-	for k := range pending {
-		if k.From == perr.Rank {
-			delete(pending, k)
-			dropped++
-		}
-	}
-	kept := (*keys)[:0]
-	for _, k := range *keys {
-		if k.From != perr.Rank {
-			kept = append(kept, k)
-		}
-	}
-	*keys = kept
-	return dropped, true
-}
-
 // runScratch holds one rank's reusable buffers for a composition run. The
 // step loop re-slices these instead of allocating per message, so after the
 // first step warms them a steady-state step allocates nothing.
 type runScratch struct {
-	enc      []byte                            // assembled outgoing block message
-	fragEnc  []byte                            // single-fragment codec output
-	encFrags []fragstore.EncodedFragment       // parsed-but-undecoded fragment views
-	keys     []comm.MsgKey                     // pending receive keys
-	pending  map[comm.MsgKey]schedule.Transfer // pending transfers, cleared per step
+	enc      []byte                      // assembled outgoing block message
+	fragEnc  []byte                      // single-fragment codec output
+	encFrags []fragstore.EncodedFragment // parsed-but-undecoded fragment views
+	keys     []comm.MsgKey               // pending receive keys
+	trs      []schedule.Transfer         // the transfers behind the pending keys
 }
 
-// scratchPool recycles runScratch shells (struct, pending map, slice
-// headers) across runs and across the pipelined executor's workers. The
-// pooled byte buffers inside go back to bufpool on release; the shell
+// scratchPool recycles runScratch shells (struct and slice headers) across
+// runs and across the pipelined executor's workers. The pooled byte
+// buffers inside go back to bufpool on release; the shell
 // itself would otherwise be allocated once per worker per composition,
 // which the allocation benchmarks count against every pipelined cell.
 var scratchPool = sync.Pool{
-	New: func() any { return &runScratch{pending: map[comm.MsgKey]schedule.Transfer{}} },
+	New: func() any { return new(runScratch) },
 }
 
 func newRunScratch() *runScratch {
@@ -533,9 +680,8 @@ func (scr *runScratch) release() {
 	bufpool.Put(scr.enc[:0])
 	bufpool.Put(scr.fragEnc[:0])
 	scr.enc, scr.fragEnc = nil, nil
-	scr.keys = scr.keys[:0]
+	scr.keys, scr.trs = scr.keys[:0], scr.trs[:0]
 	scr.encFrags = scr.encFrags[:0]
-	clear(scr.pending)
 	scratchPool.Put(scr)
 }
 
@@ -778,78 +924,4 @@ func insertFinalBlocks(out *raster.Image, tiles []raster.Span, part []byte, from
 		covered += span.Len()
 	}
 	return covered, nil
-}
-
-// gather ships every rank's final blocks to root and assembles the final
-// image there. With a compose-partial policy a rank whose blocks never
-// arrive leaves its pixels blank and is counted in rep.MissingGathers
-// instead of stalling the root forever; ranks already agreed dead are
-// skipped outright.
-func gather(c comm.Comm, st *fragstore.Store, rep *Report, opts Options, epoch int, dead []bool, w, h int, scr *runScratch) (*raster.Image, error) {
-	root := opts.GatherRoot
-	need := 16
-	for _, b := range st.Blocks() {
-		need += len(st.Frags(b)[0].Data) + 32
-	}
-	buf := encodeFinalBlocks(scr.reserveEnc(need), st)
-	scr.enc = buf[:0:cap(buf)]
-	if c.Rank() != root {
-		if err := c.Send(root, gatherTag(epoch), buf); err != nil {
-			if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-				rep.Degraded = true
-				rep.MissingGathers++
-				return nil, nil
-			}
-			return nil, fmt.Errorf("compositor: gather send: %w", err)
-		}
-		return nil, nil
-	}
-	out := raster.New(w, h)
-	covered := 0
-	for r := 0; r < c.Size(); r++ {
-		if dead != nil && dead[r] {
-			continue
-		}
-		var part []byte
-		if r == root {
-			part = buf
-		} else {
-			timeout := opts.RecvTimeout
-			if opts.Adaptive != nil {
-				if d := opts.Adaptive.Deadline(gray.ClassGather, r); d > 0 {
-					timeout = d
-				}
-			}
-			recvT0 := time.Now()
-			var err error
-			part, err = c.RecvTimeout(r, gatherTag(epoch), timeout)
-			if err != nil {
-				if errors.Is(err, comm.ErrDeadline) {
-					opts.Health.DeadlineMiss(r)
-				}
-				if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-					rep.Degraded = true
-					rep.MissingGathers++
-					continue
-				}
-				return nil, fmt.Errorf("compositor: gather from rank %d: %w", r, err)
-			}
-			if opts.Adaptive != nil {
-				opts.Adaptive.Observe(gray.ClassGather, r, time.Since(recvT0))
-			}
-			opts.Health.Ok(r)
-		}
-		n, err := insertFinalBlocks(out, st.Tiles(), part, r)
-		if err != nil {
-			return nil, err
-		}
-		if r != root {
-			bufpool.Put(part) // InsertSpan copied the pixels out
-		}
-		covered += n
-	}
-	if covered != w*h && !rep.Degraded {
-		return nil, fmt.Errorf("compositor: gathered blocks cover %d of %d pixels", covered, w*h)
-	}
-	return out, nil
 }

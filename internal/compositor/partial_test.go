@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"rtcomp/internal/codec"
+	"rtcomp/internal/gray"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
+	"rtcomp/internal/transport/faulty"
 )
 
 // The OnPartial handoff suite: the progressive-frame callback runs on a
@@ -150,5 +152,61 @@ func TestPartialPumpNilSafety(t *testing.T) {
 	pp.finish()                             // must not panic
 	if pp := newPartialPump(PipelineConfig{}, 4, nil, 0); pp != nil {
 		t.Fatal("pump constructed without an OnPartial callback")
+	}
+}
+
+// TestPartialDeadlineChargesEachSenderOnce pins the miss accounting of the
+// synchronous attempt: a receive deadline charges Health.DeadlineMiss once
+// per distinct sender still owing data, not once per owed message. On rt:4
+// at P=4 a partner owes two tile messages per step; rank 1 is silent, so
+// its step-0 partner and gather root, rank 0, hits a deadline in step 0 and
+// in the gather, and its misses for rank 1 must equal those deadline hits.
+func TestPartialDeadlineChargesEachSenderOnce(t *testing.T) {
+	const p, w, h, silent = 4, 32, 8, 1
+	sched, err := schedule.RT(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := makeLayers(rand.New(rand.NewSource(5150)), p, w, h, true)
+	rec := telemetry.New()
+	healths := make([]*gray.Health, p)
+	o := runInprocGray(t, sched, layers, func(r int) Options {
+		healths[r] = gray.NewHealth(gray.HealthConfig{}, nil, r)
+		return Options{
+			GatherRoot:  0,
+			OnMissing:   ComposePartial,
+			RecvTimeout: 150 * time.Millisecond,
+			Telemetry:   rec,
+			Health:      healths[r],
+		}
+	}, func(r int) *faulty.Plan {
+		if r != silent {
+			return nil
+		}
+		return &faulty.Plan{Drop: 1} // every send lost, the rank stays up
+	})
+	if o.errs[0] != nil {
+		t.Fatalf("rank 0: %v", o.errs[0])
+	}
+	if !o.reports[0].Degraded {
+		t.Fatal("rank 0 is not degraded: the silent rank's data arrived")
+	}
+	var hits int64
+	for k, v := range rec.Counters() {
+		if k.Rank == 0 && k.Name == telemetry.CtrDeadlineHits {
+			hits += v
+		}
+	}
+	var misses int64
+	for _, ph := range healths[0].Snapshot() {
+		if ph.Peer == silent {
+			misses = ph.Misses
+		}
+	}
+	if hits == 0 {
+		t.Fatal("rank 0 hit no deadline: scenario is vacuous")
+	}
+	if misses != hits {
+		t.Fatalf("rank 0 charged the silent rank %d misses over %d deadlines, want one per deadline", misses, hits)
 	}
 }

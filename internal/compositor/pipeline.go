@@ -1,6 +1,6 @@
 // The message-driven per-tile pipelined executor behind Options.Pipeline.
 //
-// Where the synchronous step loop (runOnce) finishes step k on every rank
+// Where the synchronous step loop (runAttempt) finishes step k on every rank
 // before any rank starts k+1, the pipelined executor advances every tile
 // through stage→send→recv→merge→gather as its own state machine:
 //
@@ -383,11 +383,8 @@ func (pr *pipeRun) failf(format string, args ...any) error {
 // in-flight window before the membership agreement runs.
 func (pr *pipeRun) abortAttempt(suspects []int, broadcast bool) {
 	pr.abortOnce.Do(func() {
-		rx := pr.recov
-		if broadcast && rx != nil && !rx.noticeSent {
-			rx.noticeSent = true
-			comm.BroadcastFailure(pr.c, rx.mem, suspects)
-			pr.tel.Add(pr.me, telemetry.CtrFailNotices, 1)
+		if broadcast && pr.recov != nil {
+			pr.recov.abort(suspects)
 		}
 		pr.tel.Flight(pr.me, telemetry.FlightEpoch, telemetry.StepNone, -1, -1, "attempt aborted")
 		pr.mu.Lock()
@@ -949,33 +946,19 @@ func (pr *pipeRun) dispatch(from, tag int, payload []byte) {
 // should exit.
 func (pr *pipeRun) onDeadline(err error, gatherMissing map[int]bool) bool {
 	suspects := pr.pendingSenders()
+	if pr.recov != nil {
+		// Brownout vs death: a slow but delivering peer earns grace; only
+		// a score sustained past the escalation bar aborts to agreement.
+		if pr.recov.graceOrEscalate(suspects) {
+			return false
+		}
+		pr.abortAttempt(suspects, true)
+		return true
+	}
 	for _, s := range suspects {
 		pr.health.DeadlineMiss(s)
 	}
 	switch {
-	case pr.recov != nil:
-		// Brownout vs death: with health scoring, a first (or occasional)
-		// miss earns grace — the run keeps waiting instead of evicting a
-		// peer that is slow but still delivering. Only a score sustained
-		// past the escalation bar hands the suspects to failure agreement.
-		if pr.health != nil && len(suspects) > 0 {
-			escalate := false
-			for _, s := range suspects {
-				if pr.health.ShouldEscalate(s) {
-					escalate = true
-					break
-				}
-			}
-			if !escalate {
-				pr.tel.Add(pr.me, telemetry.CtrDeadlineGrace, 1)
-				pr.tel.Flight(pr.me, telemetry.FlightGray, telemetry.StepNone, -1, -1,
-					fmt.Sprintf("deadline grace for ranks %v", suspects))
-				return false
-			}
-			pr.tel.Add(pr.me, telemetry.CtrHealthEscalations, 1)
-		}
-		pr.abortAttempt(suspects, true)
-		return true
 	case pr.opts.OnMissing == ComposePartial:
 		pr.dropPending(func(comm.MsgKey) bool { return true }, gatherMissing)
 		return false // expect is empty now; the loop exits on its own
@@ -1202,7 +1185,7 @@ func (pr *pipeRun) teardown() {
 }
 
 // runPipelined executes one pipelined epoch. With recov == nil it runs
-// under the FailFast/ComposePartial semantics of runOnce; with a recovery
+// under the FailFast/ComposePartial semantics of runAttempt; with a recovery
 // context it is the epoch-0 attempt of the Recover policy, returning
 // aborted == true after a quiescent drain when the attempt must be retried
 // synchronously over a repaired schedule.

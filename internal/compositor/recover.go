@@ -20,6 +20,11 @@
 // When the recovery budget is exhausted, or a dead rank's replica died with
 // its buddy, one final compose-partial epoch salvages what it can and the
 // result is forcibly flagged Degraded — it was never certified complete.
+//
+// Every synchronous attempt — each epoch and the fallback — runs through
+// runAttempt, the same step loop and gather as the fail and partial
+// policies: one attempt, three reactions. Under Recover the reaction at a
+// fault site is graceOrEscalate (at a deadline), then abort.
 package compositor
 
 import (
@@ -32,7 +37,6 @@ import (
 	"rtcomp/internal/bufpool"
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
-	"rtcomp/internal/fragstore"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/statexfer"
@@ -86,7 +90,7 @@ type rexec struct {
 }
 
 // abort broadcasts this epoch's FAILED notice (once) naming the suspected
-// ranks, and returns true so callers can `return nil, rx.abort(...), nil`.
+// ranks, and returns true so callers can write `aborted = rx.abort(...)`.
 func (rx *rexec) abort(suspects []int) bool {
 	if !rx.noticeSent {
 		rx.noticeSent = true
@@ -117,6 +121,8 @@ func (rx *rexec) graceOrEscalate(suspects []int) bool {
 		}
 	}
 	rx.tel.Add(rx.me, telemetry.CtrDeadlineGrace, 1)
+	rx.tel.Flight(rx.me, telemetry.FlightGray, telemetry.StepNone, -1, -1,
+		fmt.Sprintf("deadline grace for ranks %v", suspects))
 	return true
 }
 
@@ -217,7 +223,7 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 				// schedules run synchronously.
 				final, aborted, err = runPipelined(c, plan, rx.local, opts, rx.cdc, rx.rep, rx)
 			} else {
-				final, aborted, err = rx.epochAttempt(plan, owners, rx.replicas)
+				final, aborted, err = runAttempt(c, plan, rx.local, opts, rx.cdc, rx.rep, rx.scr, rx, owners)
 			}
 			if endRecover != nil {
 				endRecover()
@@ -285,19 +291,15 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	// replicas still contribute every dead layer whose buddy survived; the
 	// result is forcibly flagged Degraded because it was never certified.
 	plan, owners := sched, []int(nil)
-	dead := make([]bool, sched.P)
 	if rx.mem.NumDead() > 0 {
 		if plan, owners, err = schedule.Repair(sched, rx.mem.Dead()); err != nil {
 			return nil, nil, err
-		}
-		for _, d := range rx.mem.Dead() {
-			dead[d] = true
 		}
 	}
 	fopts := opts
 	fopts.OnMissing = ComposePartial
 	rx.rep.resetDegradation()
-	final, err = runOnce(c, plan, rx.local, fopts, rx.cdc, rx.rep, rx.mem.Epoch(), owners, rx.replicas, dead, rx.scr)
+	final, _, err = runAttempt(c, plan, rx.local, fopts, rx.cdc, rx.rep, rx.scr, rx, owners)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -442,189 +444,6 @@ func (rx *rexec) exchangeReplicas() (map[int]*raster.Image, bool, error) {
 	return replicas, aborted, nil
 }
 
-// epochAttempt executes one epoch of the (possibly repaired) plan with
-// abort-on-failure semantics: any recoverable failure, or a FAILED notice
-// from a peer, abandons the attempt (second result true) after broadcasting
-// this rank's own notice. Only local faults are fatal errors.
-func (rx *rexec) epochAttempt(plan *schedule.Schedule, owners []int, replicas map[int]*raster.Image) (*raster.Image, bool, error) {
-	epoch := rx.mem.Epoch()
-	me := rx.me
-	st := fragstore.New(me, plan, rx.local)
-	for l, o := range owners {
-		if o != me || l == me {
-			continue
-		}
-		img := replicas[l]
-		if img == nil {
-			// Assigned a dead rank's layer without holding its replica:
-			// completeness cannot be certified. Retries cannot fix this, so
-			// the budget drains and the fallback epoch blanks the layer.
-			return nil, rx.abort(nil), nil
-		}
-		overPix, err := st.InsertLayer(l, img)
-		if err != nil {
-			return nil, false, err
-		}
-		rx.rep.OverPixels += overPix
-	}
-
-	noticeTag := comm.NoticeTag(epoch)
-	for si, step := range plan.Steps {
-		if rx.opts.OnStep != nil {
-			rx.opts.OnStep(si)
-		}
-		for h := 0; h < step.PreHalvings; h++ {
-			st.HalveAll()
-		}
-		clear(rx.scr.pending)
-		pending := rx.scr.pending
-		for _, tr := range step.Transfers {
-			switch {
-			case tr.From == me:
-				if err := send(rx.c, st, rx.cdc, rx.rep, rx.tel, epoch, si, tr, rx.scr); err != nil {
-					if comm.IsRecoverable(err) {
-						return nil, rx.abort(suspectsOf(err, tr.To)), nil
-					}
-					return nil, false, fmt.Errorf("compositor: step %d: %w", si+1, err)
-				}
-			case tr.To == me:
-				pending[comm.MsgKey{From: tr.From, Tag: tagFor(epoch, si, tr.Block)}] = tr
-			}
-		}
-		for len(pending) > 0 {
-			keys := rx.scr.keys[:0]
-			for k := range pending {
-				keys = append(keys, k)
-			}
-			keys = append(keys, rx.mem.NoticeKeys(me)...)
-			rx.scr.keys = keys[:0]
-			endRecv := rx.tel.Span(me, telemetry.PhaseRecv, telemetry.CatNetwork, si)
-			from, tag, payload, err := rx.c.RecvAnyTimeout(keys, rx.opts.RecvTimeout)
-			endRecv()
-			if err != nil {
-				var perr *comm.PeerError
-				switch {
-				case errors.As(err, &perr):
-					return nil, rx.abort([]int{perr.Rank}), nil
-				case errors.Is(err, comm.ErrDeadline):
-					rx.tel.Add(me, telemetry.CtrDeadlineHits, 1)
-					suspects := sendersOf(pending)
-					if rx.graceOrEscalate(suspects) {
-						continue
-					}
-					return nil, rx.abort(suspects), nil
-				}
-				return nil, false, fmt.Errorf("compositor: step %d: %w", si+1, err)
-			}
-			if tag == noticeTag {
-				// A peer already broadcast this epoch's failure; no need to
-				// repeat it.
-				bufpool.Put(payload)
-				return nil, true, nil
-			}
-			key := comm.MsgKey{From: from, Tag: tag}
-			tr, ok := pending[key]
-			if !ok {
-				return nil, false, fmt.Errorf("compositor: unexpected message from rank %d tag %d", from, tag)
-			}
-			delete(pending, key)
-			if err := merge(st, rx.cdc, rx.rep, rx.tel, si, tr, payload, rx.scr); err != nil {
-				if errors.Is(err, codec.ErrCorrupt) {
-					// The payload is unrecoverable but the sender is alive: a
-					// clean re-execution may succeed.
-					return nil, rx.abort(nil), nil
-				}
-				return nil, false, err
-			}
-		}
-		for h := 0; h < step.PostHalvings; h++ {
-			st.HalveAll()
-		}
-	}
-
-	overPix, err := st.CoalesceAll()
-	if err != nil {
-		return nil, false, err
-	}
-	rx.rep.OverPixels += overPix
-	if err := st.CheckComplete(plan.P); err != nil {
-		// The plan finished but some block is not fully composited — only
-		// possible when a contribution silently vanished. Not certifiable.
-		return nil, rx.abort(nil), nil
-	}
-	rx.rep.FinalBlocks = st.Len()
-
-	root := rx.opts.GatherRoot
-	if root < 0 {
-		st.Release()
-		return nil, false, nil
-	}
-	endGather := rx.tel.Span(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone)
-	defer endGather()
-	if me != root {
-		rx.scr.enc = encodeFinalBlocks(rx.scr.enc[:0], st)
-		if err := rx.c.Send(root, gatherTag(epoch), rx.scr.enc); err != nil {
-			if comm.IsRecoverable(err) {
-				return nil, rx.abort(suspectsOf(err, root)), nil
-			}
-			return nil, false, fmt.Errorf("compositor: gather send: %w", err)
-		}
-		st.Release()
-		return nil, false, nil
-	}
-	rx.scr.enc = encodeFinalBlocks(rx.scr.enc[:0], st)
-	out := raster.New(rx.local.W, rx.local.H)
-	covered, err := insertFinalBlocks(out, st.Tiles(), rx.scr.enc, me)
-	if err != nil {
-		return nil, false, err
-	}
-	st.Release()
-	pendingRanks := map[int]bool{}
-	for r := 0; r < rx.c.Size(); r++ {
-		if r != root && rx.mem.Alive(r) {
-			pendingRanks[r] = true
-		}
-	}
-	for len(pendingRanks) > 0 {
-		keys := make([]comm.MsgKey, 0, len(pendingRanks))
-		for r := range pendingRanks {
-			keys = append(keys, comm.MsgKey{From: r, Tag: gatherTag(epoch)})
-		}
-		keys = append(keys, rx.mem.NoticeKeys(me)...)
-		from, tag, part, err := rx.c.RecvAnyTimeout(keys, rx.opts.RecvTimeout)
-		if err != nil {
-			var perr *comm.PeerError
-			switch {
-			case errors.As(err, &perr):
-				return nil, rx.abort([]int{perr.Rank}), nil
-			case errors.Is(err, comm.ErrDeadline):
-				rx.tel.Add(me, telemetry.CtrDeadlineHits, 1)
-				suspects := setKeys(pendingRanks)
-				if rx.graceOrEscalate(suspects) {
-					continue
-				}
-				return nil, rx.abort(suspects), nil
-			}
-			return nil, false, fmt.Errorf("compositor: gather: %w", err)
-		}
-		if tag == noticeTag {
-			bufpool.Put(part)
-			return nil, true, nil
-		}
-		delete(pendingRanks, from)
-		n, err := insertFinalBlocks(out, st.Tiles(), part, from)
-		if err != nil {
-			return nil, false, err
-		}
-		bufpool.Put(part) // InsertSpan copied the pixels out
-		covered += n
-	}
-	if covered != rx.local.W*rx.local.H {
-		return nil, rx.abort(nil), nil
-	}
-	return out, false, nil
-}
-
 // commitBroadcast redistributes the certified image from the gather root to
 // the surviving ranks. It runs after the commit decision, so it never
 // triggers a retry: a peer dying this late simply misses its copy.
@@ -658,16 +477,6 @@ func (rx *rexec) commitBroadcast(final *raster.Image) (*raster.Image, error) {
 	copy(img.Pix, data)
 	bufpool.Put(data)
 	return img, nil
-}
-
-// sendersOf lists the distinct source ranks of the transfers still pending,
-// ascending.
-func sendersOf(pending map[comm.MsgKey]schedule.Transfer) []int {
-	set := map[int]bool{}
-	for k := range pending {
-		set[k.From] = true
-	}
-	return setKeys(set)
 }
 
 func setKeys(set map[int]bool) []int {

@@ -3,12 +3,14 @@ package compositor
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compose"
+	"rtcomp/internal/gray"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
@@ -405,5 +407,72 @@ func TestRecoverLateAbortBlocksCommit(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRecoverBrownoutNoFalseEvictionAcrossFrames pins zero false evictions
+// under the Recover policy with the default health configuration on both
+// executors. One gray.Health per rank persists across frames, as core keeps
+// it, so a browned-out rank's deliveries must decay its score on every
+// arrival: a score that only climbs reaches the escalation bar within a
+// frame or two and turns every later frame into recovery epochs.
+func TestRecoverBrownoutNoFalseEvictionAcrossFrames(t *testing.T) {
+	const p, w, h, frames = 4, 31, 9, 4
+	const brown = 120 * time.Millisecond
+	cdc, err := codec.ByName("rle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := schedule.TwoNRT(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := makeLayers(rand.New(rand.NewSource(8202)), p, w, h, true)
+	want := runInproc(t, sched, layers, cdc)
+	planFor := func(r int) *faulty.Plan {
+		if r != 2 {
+			return nil
+		}
+		return &faulty.Plan{Brownout: brown}
+	}
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipeline=%v", pipelined), func(t *testing.T) {
+			healths := make([]*gray.Health, p)
+			for r := range healths {
+				healths[r] = gray.NewHealth(gray.HealthConfig{}, nil, r)
+			}
+			var graced int64
+			for f := 0; f < frames; f++ {
+				rec := telemetry.New()
+				o := runInprocGray(t, sched, layers, func(r int) Options {
+					return Options{
+						Codec:       cdc,
+						GatherRoot:  0,
+						OnMissing:   Recover,
+						RecvTimeout: 60 * time.Millisecond,
+						Telemetry:   rec,
+						Health:      healths[r],
+						Pipeline:    PipelineConfig{Enabled: pipelined},
+					}
+				}, planFor)
+				got := o.mustFinal(t)
+				if !raster.Equal(got, want) {
+					t.Fatalf("frame %d: image differs from oracle: maxdiff=%d", f, raster.MaxDiff(got, want))
+				}
+				for r, rep := range o.reports {
+					if rep.RecoveryEpochs != 0 {
+						t.Fatalf("frame %d rank %d: %d recovery epochs (recovered %v) for a slow but live rank",
+							f, r, rep.RecoveryEpochs, rep.RecoveredRanks)
+					}
+				}
+				if e := sumCounter(rec, telemetry.CtrHealthEscalations); e != 0 {
+					t.Fatalf("frame %d: health escalated the browned-out rank %d times", f, e)
+				}
+				graced += sumCounter(rec, telemetry.CtrDeadlineGrace)
+			}
+			if graced == 0 {
+				t.Fatalf("no deadline grace recorded: deadlines never fired, scenario is vacuous")
+			}
+		})
 	}
 }
