@@ -139,12 +139,13 @@ type Config struct {
 	Method Method
 	// Codec names the wire compression ("raw", "rle", "trle").
 	Codec string
-	// Accelerate enables the opacity-coherence render acceleration
-	// (exact for the built-in transfer functions).
+	// Accelerate selects RenderSlabAccel, which is RenderSlab: every path
+	// now skips transparent columns wherever that is exact.
 	Accelerate bool
-	// RLE renders from a run-length encoded classified volume (built once
-	// per frame set), the Lacroute acceleration structure; byte-identical
-	// output, fastest per frame. Takes precedence over Accelerate.
+	// RLE renders from a run-length encoded classified volume, the
+	// Lacroute acceleration structure; byte-identical output. RenderOrbit
+	// builds it once per frame set, every other entry point once per frame.
+	// Takes precedence over Accelerate.
 	RLE bool
 	// Partition selects the data-partitioning scheme of the render stage:
 	// "1d" (default, depth slabs — rank order is depth order) or "2d"
@@ -254,12 +255,14 @@ type renderCtx struct {
 	rle  *shearwarp.RLEVolume
 }
 
-func (cfg Config) newRenderCtx(r *shearwarp.Renderer, view *shearwarp.View) *renderCtx {
-	ctx := &renderCtx{r: r, view: view}
-	if cfg.RLE {
-		ctx.rle = shearwarp.NewRLEVolume(r.Vol, r.TF)
+// rleVolume builds the run-length encoded volume cfg.RLE asks for, or
+// returns nil. It depends on the volume and transfer function only, so a
+// frame set builds it once.
+func (cfg Config) rleVolume(vol *volume.Volume, tf *xfer.Func) *shearwarp.RLEVolume {
+	if !cfg.RLE {
+		return nil
 	}
-	return ctx
+	return shearwarp.NewRLEVolume(vol, tf)
 }
 
 // partials renders this rank's partial image under the configured
@@ -369,6 +372,12 @@ func RenderParallelCtx(ctx context.Context, cfg Config) (*FrameReport, error) {
 // RenderParallelVolume is RenderParallel with an explicit volume and
 // transfer function.
 func RenderParallelVolume(cfg Config, vol *volume.Volume, tf *xfer.Func) (*FrameReport, error) {
+	return cfg.renderParallel(vol, tf, cfg.rleVolume(vol, tf))
+}
+
+// renderParallel is RenderParallelVolume with the frame set's RLE volume
+// (nil unless cfg.RLE) already built.
+func (cfg Config) renderParallel(vol *volume.Volume, tf *xfer.Func, rle *shearwarp.RLEVolume) (*FrameReport, error) {
 	r := &shearwarp.Renderer{Vol: vol, TF: tf}
 	view, err := r.Factor(cfg.Camera)
 	if err != nil {
@@ -387,7 +396,7 @@ func RenderParallelVolume(cfg Config, vol *volume.Volume, tf *xfer.Func) (*Frame
 		return nil, err
 	}
 
-	ctx := cfg.newRenderCtx(r, view)
+	ctx := &renderCtx{r: r, view: view, rle: rle}
 	out := &FrameReport{Reports: make([]*compositor.Report, cfg.P)}
 	renderTimes := make([]time.Duration, cfg.P)
 	var mu sync.Mutex
@@ -473,7 +482,8 @@ func RenderRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, err
 	if err != nil {
 		return nil, nil, err
 	}
-	partial, src, err := cfg.startPartials(cfg.newRenderCtx(r, view), c.Rank(), sched.Tiles)
+	ctx := &renderCtx{r: r, view: view, rle: cfg.rleVolume(vol, r.TF)}
+	partial, src, err := cfg.startPartials(ctx, c.Rank(), sched.Tiles)
 	if err != nil {
 		return nil, nil, err
 	}

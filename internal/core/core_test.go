@@ -245,6 +245,29 @@ func TestRenderOrbit(t *testing.T) {
 	}
 }
 
+// An RLE orbit, which builds its RLE volume once for all frames, must
+// match the plain orbit frame for frame.
+func TestRenderOrbitRLEMatchesPlain(t *testing.T) {
+	cfg := testConfig(4, "nrt:2")
+	plain, err := RenderOrbit(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.RLE = true
+	rle, err := RenderOrbit(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := range plain.Frames {
+		if !raster.Equal(rle.Frames[f], plain.Frames[f]) {
+			t.Fatalf("frame %d: RLE orbit differs from plain orbit", f)
+		}
+		if !raster.Equal(rle.PerFrame[f].Intermediate, plain.PerFrame[f].Intermediate) {
+			t.Fatalf("frame %d: RLE orbit intermediate differs from plain orbit", f)
+		}
+	}
+}
+
 func TestRLEModePreservesOutput(t *testing.T) {
 	cfg := testConfig(4, "2nrt:4")
 	plain, err := RenderParallel(cfg)

@@ -17,10 +17,11 @@ type OrbitReport struct {
 }
 
 // RenderOrbit renders nframes of a full yaw orbit (the configured camera's
-// yaw advanced by 2*pi/nframes per frame, pitch held), building the volume
-// and transfer function once and reusing them across frames — the
-// animation loop of an interactive viewer. Every frame runs the full
-// parallel pipeline: partition, render, composite, warp.
+// yaw advanced by 2*pi/nframes per frame, pitch held), building the volume,
+// the transfer function and, with cfg.RLE, the RLE volume once and reusing
+// them across frames — the animation loop of an interactive viewer. Every
+// frame runs the full parallel pipeline: partition, render, composite,
+// warp.
 func RenderOrbit(cfg Config, nframes int) (*OrbitReport, error) {
 	if nframes < 1 {
 		return nil, fmt.Errorf("core: RenderOrbit needs at least one frame, got %d", nframes)
@@ -30,6 +31,7 @@ func RenderOrbit(cfg Config, nframes int) (*OrbitReport, error) {
 		return nil, fmt.Errorf("core: unknown dataset %q", cfg.Dataset)
 	}
 	tf := xfer.ForDataset(cfg.Dataset)
+	rle := cfg.rleVolume(vol, tf)
 	out := &OrbitReport{
 		Frames:   make([]*raster.Image, nframes),
 		PerFrame: make([]*FrameReport, nframes),
@@ -38,7 +40,7 @@ func RenderOrbit(cfg Config, nframes int) (*OrbitReport, error) {
 	for f := 0; f < nframes; f++ {
 		frameCfg := cfg
 		frameCfg.Camera.Yaw = baseYaw + 2*math.Pi*float64(f)/float64(nframes)
-		rep, err := RenderParallelVolume(frameCfg, vol, tf)
+		rep, err := frameCfg.renderParallel(vol, tf, rle)
 		if err != nil {
 			return nil, fmt.Errorf("core: frame %d: %w", f, err)
 		}

@@ -1,24 +1,17 @@
 package shearwarp
 
-import (
-	"fmt"
-	"math"
-
-	"rtcomp/internal/raster"
-)
+import "rtcomp/internal/raster"
 
 // Opacity-coherence acceleration (the spirit of Lacroute's run-length
 // encoded volume traversal): almost all volume data classifies to
-// transparent, so the renderer precomputes, per slice row, the runs of
-// columns whose voxels could contribute, and the resampling loop hops over
-// the transparent gaps instead of sampling them.
+// transparent, so the render kernel bounds every output row to the columns
+// whose sample footprint can reach a non-transparent voxel (kernel.go).
 //
-// The skip test is exact whenever the transfer function's transparent
-// scalars form a downward-closed interval [0, lo): bilinear interpolation
-// is a convex combination, so four transparent voxels can only produce a
-// transparent sample. TransparentDownwardClosed reports whether a transfer
-// function qualifies; RenderSlabAccel falls back to the plain path when it
-// does not.
+// The skip is exact whenever the transfer function's transparent scalars
+// form a downward-closed interval [0, lo): bilinear interpolation is a
+// convex combination, so four transparent voxels can only produce a
+// transparent sample. transparentDownwardClosed reports whether a transfer
+// function qualifies; the kernel keeps full row bounds when it does not.
 
 // transparentDownwardClosed reports whether the set of scalars classified
 // fully transparent is exactly [0, k) for some k — the condition under
@@ -35,132 +28,8 @@ func (r *Renderer) transparentDownwardClosed() bool {
 	return true
 }
 
-// runInterval is a half-open active column interval [lo, hi) in slice
-// coordinates.
-type runInterval struct {
-	lo, hi int
-}
-
-// sliceRuns computes, for each row pair j (sampling rows j and j+1), the
-// active column intervals: i such that at least one of the voxels
-// (i..i+1, j..j+1) classifies non-transparent. Intervals are dilated by
-// one column on the left so a sample whose floor lands just before an
-// opaque voxel is still visited.
-func (r *Renderer) sliceRuns(v *View, k int, slice []uint8) [][]runInterval {
-	occ := make([]bool, v.ni*v.nj)
-	for idx, s := range slice {
-		occ[idx] = r.TF.Alpha[s] != 0
-	}
-	runs := make([][]runInterval, v.nj)
-	for j := 0; j < v.nj; j++ {
-		var cur []runInterval
-		active := func(i int) bool {
-			for dj := 0; dj <= 1; dj++ {
-				jj := j + dj
-				if jj >= v.nj {
-					continue
-				}
-				for di := 0; di <= 1; di++ {
-					ii := i + di
-					if ii >= 0 && ii < v.ni && occ[jj*v.ni+ii] {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		inRun := false
-		lo := 0
-		for i := -1; i < v.ni; i++ {
-			a := active(i)
-			if a && !inRun {
-				lo, inRun = i, true
-			}
-			if !a && inRun {
-				cur = append(cur, runInterval{lo, i})
-				inRun = false
-			}
-		}
-		if inRun {
-			cur = append(cur, runInterval{lo, v.ni})
-		}
-		runs[j] = cur
-	}
-	return runs
-}
-
-// RenderSlabAccel renders exactly what RenderSlab renders, skipping
-// transparent voxel runs. When the transfer function's transparent set is
-// not downward closed the plain path runs instead.
+// RenderSlabAccel is RenderSlab, whose kernel already skips transparent
+// runs wherever that is exact.
 func (r *Renderer) RenderSlabAccel(v *View, kLo, kHi int) (*raster.Image, error) {
-	if !r.transparentDownwardClosed() {
-		return r.RenderSlab(v, kLo, kHi)
-	}
-	if kLo < 0 || kHi > v.nk || kLo > kHi {
-		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
-	}
-	out := raster.New(v.wi, v.hi)
-	slice := make([]uint8, v.ni*v.nj)
-	for k := kLo; k < kHi; k++ {
-		r.extractSlice(v, k, slice)
-		runs := r.sliceRuns(v, k, slice)
-		r.renderSliceWithRuns(out, v, k, slice, runs)
-	}
-	return out, nil
-}
-
-// renderSliceWithRuns composites one slice into the accumulation image,
-// visiting only the pixels covered by the per-row active column runs.
-// Visiting extra (transparent) samples is harmless, so run lists may be
-// supersets of the true active set.
-func (r *Renderer) renderSliceWithRuns(out *raster.Image, v *View, k int, slice []uint8, runs [][]runInterval) {
-	ui := v.oi + v.si*float64(k)
-	vj := v.oj + v.sj*float64(k)
-	v0 := int(math.Floor(vj))
-	for v1 := v0; v1 <= v0+v.nj; v1++ {
-		if v1 < 0 || v1 >= v.hi {
-			continue
-		}
-		jf := float64(v1) - vj
-		j0 := int(math.Floor(jf))
-		if j0 < -1 || j0 >= v.nj {
-			continue
-		}
-		rowRuns := []runInterval(nil)
-		if j0 >= 0 {
-			rowRuns = runs[j0]
-		} else {
-			// jf in (-1, 0): only row 0 contributes; row 0's runs for
-			// pair (0,1) are a superset of what row 0 alone needs.
-			rowRuns = runs[0]
-		}
-		for _, run := range rowRuns {
-			// Active floor(i) in [run.lo, run.hi): sample u with
-			// i = u - ui in [run.lo, run.hi+1).
-			uLo := int(math.Ceil(float64(run.lo) + ui))
-			uHi := int(math.Floor(float64(run.hi) + ui))
-			if uLo < 0 {
-				uLo = 0
-			}
-			if uHi >= v.wi {
-				uHi = v.wi - 1
-			}
-			for u1 := uLo; u1 <= uHi; u1++ {
-				pi := (v1*v.wi + u1) * raster.BytesPerPixel
-				if out.Pix[pi+1] == 255 {
-					continue
-				}
-				ifl := float64(u1) - ui
-				s, ok := bilinear(slice, v.ni, v.nj, ifl, jf)
-				if !ok {
-					continue
-				}
-				val, a := r.TF.Classify(s)
-				if a == 0 {
-					continue
-				}
-				overPixel(out.Pix[pi:pi+2:pi+2], val, a)
-			}
-		}
-	}
+	return r.RenderSlab(v, kLo, kHi)
 }

@@ -9,8 +9,9 @@ import (
 	"rtcomp/internal/xfer"
 )
 
-// The accelerated path must produce byte-identical output to the plain
-// path: the skip test is exact for downward-closed transparent sets.
+// The accelerated path must produce byte-identical output to the frozen
+// plain renderer: the skip test is exact for downward-closed transparent
+// sets.
 func TestAccelMatchesPlainExactly(t *testing.T) {
 	for _, name := range volume.Datasets {
 		r := testRenderer(name, 32)
@@ -24,7 +25,7 @@ func TestAccelMatchesPlainExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, s := range slabs {
-				plain, err := r.RenderSlab(v, s.Lo, s.Hi)
+				plain, err := r.renderSlabReference(v, s.Lo, s.Hi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,7 +56,7 @@ func TestAccelFallsBackOnNonMonotoneTF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := r.RenderSlab(v, 0, v.NK())
+	plain, err := r.renderSlabReference(v, 0, v.NK())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,28 +87,15 @@ func TestAccelSlabBounds(t *testing.T) {
 }
 
 func BenchmarkRenderSlabPlain(b *testing.B) {
-	r := testRenderer("head", 96)
+	r := testRenderer("head", 128)
 	v, err := r.Factor(Camera{Yaw: 0.35, Pitch: 0.2})
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.RenderSlab(v, 0, v.NK()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRenderSlabAccel(b *testing.B) {
-	r := testRenderer("head", 96)
-	v, err := r.Factor(Camera{Yaw: 0.35, Pitch: 0.2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.RenderSlabAccel(v, 0, v.NK()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package shearwarp
 
 import (
 	"fmt"
-	"sort"
 
 	"rtcomp/internal/raster"
 	"rtcomp/internal/volume"
@@ -32,6 +31,11 @@ type axisRLE struct {
 	// rows[k*nj + j] is the run list of row j in slice k, in the unflipped
 	// permuted frame of this principal axis.
 	rows []rleRow
+}
+
+// runInterval is a half-open stored column interval [lo, hi).
+type runInterval struct {
+	lo, hi int
 }
 
 type rleRow struct {
@@ -142,80 +146,40 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 	if kLo < 0 || kHi > v.nk || kLo > kHi {
 		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
 	}
-	enc := &rv.axes[v.perm[2]]
 	out := raster.New(v.wi, v.hi)
-	slice := make([]uint8, v.ni*v.nj)
-	viewRows := make([][]runInterval, v.nj) // stored intervals in view coords
-	for k := kLo; k < kHi; k++ {
-		ko := k
-		if v.flip[2] {
-			ko = v.nk - 1 - k
-		}
-		// Materialize the slice in view coordinates, touching only stored
-		// voxels, and collect each view row's stored intervals.
-		for i := range slice {
-			slice[i] = 0
-		}
-		for j := 0; j < v.nj; j++ {
-			jo := j
-			if v.flip[1] {
-				jo = v.nj - 1 - j
-			}
-			row := &enc.rows[ko*v.nj+jo]
-			viewRows[j] = viewRows[j][:0]
-			off := 0
-			for _, iv := range row.intervals {
-				vals := row.vals[off : off+iv.hi-iv.lo]
-				off += iv.hi - iv.lo
-				if !v.flip[0] {
-					copy(slice[j*v.ni+iv.lo:], vals)
-					viewRows[j] = append(viewRows[j], iv)
-					continue
-				}
-				lo := v.ni - iv.hi
-				for x, val := range vals {
-					slice[j*v.ni+v.ni-1-(iv.lo+x)] = val
-				}
-				viewRows[j] = append(viewRows[j], runInterval{lo, v.ni - iv.lo})
-			}
-			if v.flip[0] {
-				// Reversed intervals come out back to front.
-				sort.Slice(viewRows[j], func(a, b int) bool { return viewRows[j][a].lo < viewRows[j][b].lo })
-			}
-		}
-		// Visit runs: union of this row's and the next row's stored
-		// intervals (the sample footprint spans two rows). The stored
-		// dilation is a superset of the exact active set, which is safe.
-		runs := make([][]runInterval, v.nj)
-		for j := 0; j < v.nj; j++ {
-			var merged []runInterval
-			merged = append(merged, viewRows[j]...)
-			if j+1 < v.nj {
-				merged = append(merged, viewRows[j+1]...)
-			}
-			runs[j] = mergeIntervals(merged)
-		}
-		r.renderSliceWithRuns(out, v, k, slice, runs)
-	}
+	r.renderRect(v, rv, kLo, kHi, 0, 0, v.wi, v.hi, out)
 	return out, nil
 }
 
-// mergeIntervals sorts and coalesces overlapping or touching intervals.
-func mergeIntervals(ivs []runInterval) []runInterval {
-	if len(ivs) == 0 {
-		return nil
+// fill materializes slice k of the view from the stored runs, in view
+// coordinates, with zeros for the voxels the encoding dropped. A dropped
+// voxel has no non-transparent voxel in its 3x3 neighbourhood, so every
+// sample footprint containing it is transparent either way.
+func (rv *RLEVolume) fill(v *View, k int, vox []uint8) {
+	enc := &rv.axes[v.perm[2]]
+	ko := k
+	if v.flip[2] {
+		ko = v.nk - 1 - k
 	}
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].lo < ivs[b].lo })
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv.lo <= last.hi {
-			if iv.hi > last.hi {
-				last.hi = iv.hi
-			}
-			continue
+	clear(vox)
+	for j := 0; j < v.nj; j++ {
+		jo := j
+		if v.flip[1] {
+			jo = v.nj - 1 - j
 		}
-		out = append(out, iv)
+		row := &enc.rows[ko*v.nj+jo]
+		dst := vox[j*v.ni : (j+1)*v.ni]
+		off := 0
+		for _, iv := range row.intervals {
+			vals := row.vals[off : off+iv.hi-iv.lo]
+			off += iv.hi - iv.lo
+			if !v.flip[0] {
+				copy(dst[iv.lo:], vals)
+				continue
+			}
+			for x, val := range vals {
+				dst[v.ni-1-(iv.lo+x)] = val
+			}
+		}
 	}
-	return out
 }

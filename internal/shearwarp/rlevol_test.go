@@ -9,7 +9,8 @@ import (
 	"rtcomp/internal/xfer"
 )
 
-// The encoded volume must render byte-identically to the plain path for
+// The encoded volume must render byte-identically to the frozen plain
+// renderer for
 // every dataset, cameras in every principal-axis octant (exercising all
 // three encodings and the flips), and arbitrary slabs.
 func TestRLEVolumeMatchesPlainExactly(t *testing.T) {
@@ -36,7 +37,7 @@ func TestRLEVolumeMatchesPlainExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, s := range slabs {
-				plain, err := r.RenderSlab(v, s.Lo, s.Hi)
+				plain, err := r.renderSlabReference(v, s.Lo, s.Hi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,7 +89,7 @@ func TestRLEVolumeFallbackOnHoleyTF(t *testing.T) {
 	r := &Renderer{Vol: volume.Head(20), TF: tf}
 	rv := NewRLEVolume(r.Vol, tf)
 	v, _ := r.Factor(Camera{Yaw: 0.3})
-	plain, err := r.RenderSlab(v, 0, v.NK())
+	plain, err := r.renderSlabReference(v, 0, v.NK())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,22 +99,6 @@ func TestRLEVolumeFallbackOnHoleyTF(t *testing.T) {
 	}
 	if !raster.Equal(plain, got) {
 		t.Fatal("fallback differs from plain path")
-	}
-}
-
-func TestMergeIntervals(t *testing.T) {
-	got := mergeIntervals([]runInterval{{5, 8}, {1, 3}, {2, 6}, {10, 12}})
-	want := []runInterval{{1, 8}, {10, 12}}
-	if len(got) != len(want) {
-		t.Fatalf("mergeIntervals = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mergeIntervals = %v, want %v", got, want)
-		}
-	}
-	if mergeIntervals(nil) != nil {
-		t.Fatal("empty merge not nil")
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"rtcomp/internal/volume"
 )
 
-// RenderSlabRows must be an exact band decomposition of RenderSlab: each
-// pixel keeps its front-to-back k order inside its band, so rendering any
-// partition of the intermediate rows reproduces the one-shot slab image
-// byte for byte.
+// RenderSlabRows must be an exact band decomposition of the slab render:
+// each pixel keeps its front-to-back k order inside its band, so rendering
+// any partition of the intermediate rows reproduces the frozen one-shot
+// slab image byte for byte.
 func TestRenderSlabRowsMatchesSlabExactly(t *testing.T) {
 	for _, name := range volume.Datasets {
 		r := testRenderer(name, 24)
@@ -21,7 +21,7 @@ func TestRenderSlabRowsMatchesSlabExactly(t *testing.T) {
 			}
 			kMid := v.NK() / 2
 			for _, slab := range [][2]int{{0, v.NK()}, {kMid / 2, kMid}, {kMid, v.NK()}} {
-				want, err := r.RenderSlab(v, slab[0], slab[1])
+				want, err := r.renderSlabReference(v, slab[0], slab[1])
 				if err != nil {
 					t.Fatal(err)
 				}

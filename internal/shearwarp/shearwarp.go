@@ -129,32 +129,6 @@ func (r *Renderer) Factor(cam Camera) (*View, error) {
 	return v, nil
 }
 
-// voxel reads the volume in the permuted+flipped frame.
-func (r *Renderer) voxel(v *View, i, j, k int) uint8 {
-	var p [3]int
-	coords := [3]int{i, j, k}
-	lims := [3]int{v.ni, v.nj, v.nk}
-	for c := 0; c < 3; c++ {
-		x := coords[c]
-		if v.flip[c] {
-			x = lims[c] - 1 - x
-		}
-		p[v.perm[c]] = x
-	}
-	return r.Vol.At(p[0], p[1], p[2])
-}
-
-// extractSlice copies slice k into a contiguous ni x nj scalar buffer.
-func (r *Renderer) extractSlice(v *View, k int, buf []uint8) {
-	idx := 0
-	for j := 0; j < v.nj; j++ {
-		for i := 0; i < v.ni; i++ {
-			buf[idx] = r.voxel(v, i, j, k)
-			idx++
-		}
-	}
-}
-
 // RenderSlab renders slices [kLo, kHi) front-to-back into a partial
 // intermediate image of the view's intermediate size, with canonical blank
 // pixels outside the slab's footprint. Compositing the slab images of a
@@ -164,41 +138,7 @@ func (r *Renderer) RenderSlab(v *View, kLo, kHi int) (*raster.Image, error) {
 		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
 	}
 	out := raster.New(v.wi, v.hi)
-	slice := make([]uint8, v.ni*v.nj)
-	for k := kLo; k < kHi; k++ {
-		r.extractSlice(v, k, slice)
-		ui := v.oi + v.si*float64(k)
-		vj := v.oj + v.sj*float64(k)
-		u0 := int(math.Floor(ui))
-		v0 := int(math.Floor(vj))
-		for v1 := v0; v1 <= v0+v.nj; v1++ {
-			if v1 < 0 || v1 >= v.hi {
-				continue
-			}
-			jf := float64(v1) - vj
-			for u1 := u0; u1 <= u0+v.ni; u1++ {
-				if u1 < 0 || u1 >= v.wi {
-					continue
-				}
-				// Early termination: a fully opaque accumulation cannot
-				// change, so skipping is exact.
-				pi := (v1*v.wi + u1) * raster.BytesPerPixel
-				if out.Pix[pi+1] == 255 {
-					continue
-				}
-				ifl := float64(u1) - ui
-				s, ok := bilinear(slice, v.ni, v.nj, ifl, jf)
-				if !ok {
-					continue
-				}
-				val, a := r.TF.Classify(s)
-				if a == 0 {
-					continue
-				}
-				overPixel(out.Pix[pi:pi+2:pi+2], val, a)
-			}
-		}
-	}
+	r.renderRect(v, nil, kLo, kHi, 0, 0, v.wi, v.hi, out)
 	return out, nil
 }
 
@@ -221,48 +161,7 @@ func (r *Renderer) RenderSlabRows(v *View, kLo, kHi, y0, y1 int, out *raster.Ima
 		return fmt.Errorf("shearwarp: output image is %dx%d, view wants %dx%d",
 			out.W, out.H, v.wi, v.hi)
 	}
-	slice := make([]uint8, v.ni*v.nj)
-	for k := kLo; k < kHi; k++ {
-		ui := v.oi + v.si*float64(k)
-		vj := v.oj + v.sj*float64(k)
-		u0 := int(math.Floor(ui))
-		v0 := int(math.Floor(vj))
-		// The slice's row footprint clipped to the band; skip the (costly)
-		// slice extraction when the footprint misses the band entirely.
-		vLo, vHi := v0, v0+v.nj
-		if vLo < y0 {
-			vLo = y0
-		}
-		if vHi > y1-1 {
-			vHi = y1 - 1
-		}
-		if vLo > vHi {
-			continue
-		}
-		r.extractSlice(v, k, slice)
-		for v1 := vLo; v1 <= vHi; v1++ {
-			jf := float64(v1) - vj
-			for u1 := u0; u1 <= u0+v.ni; u1++ {
-				if u1 < 0 || u1 >= v.wi {
-					continue
-				}
-				pi := (v1*v.wi + u1) * raster.BytesPerPixel
-				if out.Pix[pi+1] == 255 {
-					continue
-				}
-				ifl := float64(u1) - ui
-				s, ok := bilinear(slice, v.ni, v.nj, ifl, jf)
-				if !ok {
-					continue
-				}
-				val, a := r.TF.Classify(s)
-				if a == 0 {
-					continue
-				}
-				overPixel(out.Pix[pi:pi+2:pi+2], val, a)
-			}
-		}
-	}
+	r.renderRect(v, nil, kLo, kHi, 0, y0, v.wi, y1, out)
 	return nil
 }
 
