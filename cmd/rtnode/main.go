@@ -56,7 +56,6 @@ func main() {
 		yaw       = flag.Float64("yaw", 0.35, "camera yaw in radians")
 		pitch     = flag.Float64("pitch", 0.2, "camera pitch in radians")
 		out       = flag.String("o", "out.png", "output file on rank 0 (.png or .pgm)")
-		accel     = flag.Bool("accel", false, "enable the opacity-coherence render acceleration")
 		rle       = flag.Bool("rle", false, "render from a run-length encoded classified volume (fastest)")
 		part      = flag.String("partition", "1d", "render-stage partitioning: 1d (depth slabs) or 2d (image tiles)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "mesh setup timeout")
@@ -119,7 +118,6 @@ func main() {
 			P:              p,
 			Method:         m,
 			Codec:          *cdc,
-			Accelerate:     *accel,
 			RLE:            *rle,
 			Partition:      *part,
 			RecvTimeout:    *recvTO,

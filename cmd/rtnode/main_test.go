@@ -50,7 +50,6 @@ func TestMultiProcess(t *testing.T) {
 				"-size", "96",
 				"-method", "2nrt:4",
 				"-codec", "trle",
-				"-accel",
 				"-o", outFile,
 			)
 			cmd.Stdout = &outputs[r]

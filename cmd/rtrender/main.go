@@ -40,7 +40,6 @@ func main() {
 		yaw      = flag.Float64("yaw", 0.35, "camera yaw in radians")
 		pitch    = flag.Float64("pitch", 0.2, "camera pitch in radians")
 		out      = flag.String("o", "out.png", "output file (.png or .pgm)")
-		accel    = flag.Bool("accel", false, "enable the opacity-coherence render acceleration")
 		rle      = flag.Bool("rle", false, "render from a run-length encoded classified volume (fastest)")
 		part     = flag.String("partition", "1d", "render-stage partitioning: 1d (depth slabs) or 2d (image tiles)")
 		frames   = flag.Int("frames", 1, "render a yaw orbit of this many frames (out-NNN suffixes)")
@@ -59,18 +58,17 @@ func main() {
 		rec = telemetry.New()
 	}
 	cfg := core.Config{
-		Dataset:    *dataset,
-		VolumeN:    *volN,
-		Camera:     shearwarp.Camera{Yaw: *yaw, Pitch: *pitch},
-		Width:      *size,
-		Height:     *size,
-		P:          *p,
-		Method:     m,
-		Codec:      *cdc,
-		Accelerate: *accel,
-		RLE:        *rle,
-		Partition:  *part,
-		Telemetry:  rec,
+		Dataset:   *dataset,
+		VolumeN:   *volN,
+		Camera:    shearwarp.Camera{Yaw: *yaw, Pitch: *pitch},
+		Width:     *size,
+		Height:    *size,
+		P:         *p,
+		Method:    m,
+		Codec:     *cdc,
+		RLE:       *rle,
+		Partition: *part,
+		Telemetry: rec,
 	}
 
 	var vol *volume.Volume

@@ -217,17 +217,16 @@ func (s *server) render(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	cfg := core.Config{
-		Dataset:    dataset,
-		VolumeN:    s.volN,
-		Camera:     shearwarp.Camera{Yaw: yaw, Pitch: pitch},
-		Width:      size,
-		Height:     size,
-		P:          s.p,
-		Method:     method,
-		Codec:      codec,
-		Accelerate: true,
-		Pipeline:   pipelined,
-		Telemetry:  s.rec,
+		Dataset:   dataset,
+		VolumeN:   s.volN,
+		Camera:    shearwarp.Camera{Yaw: yaw, Pitch: pitch},
+		Width:     size,
+		Height:    size,
+		P:         s.p,
+		Method:    method,
+		Codec:     codec,
+		Pipeline:  pipelined,
+		Telemetry: s.rec,
 	}
 	t0 := time.Now()
 	rep, err := core.RenderParallelCtx(ctx, cfg)

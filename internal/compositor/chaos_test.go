@@ -554,3 +554,86 @@ func TestChaosDeterministicFaultStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptPayloadReactions truncates one step payload on its receiver and
+// pins each policy's reaction on both executors: fail returns the codec's
+// corruption error, partial drops and counts the transfer and still
+// assembles an image on the root, and recover re-executes one epoch to the
+// exact serial composite.
+func TestCorruptPayloadReactions(t *testing.T) {
+	sched, err := schedule.NRT(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers, want := chaosLayers(53, sched.P)
+	var tr schedule.Transfer
+	for _, tr = range sched.Steps[0].Transfers {
+		if tr.To != 0 {
+			break
+		}
+	}
+	cutTag := tagFor(0, 0, tr.Block)
+	for _, pipelined := range []bool{false, true} {
+		for _, policy := range []Policy{FailFast, ComposePartial, Recover} {
+			name := policy.String() + "/sync"
+			if pipelined {
+				name = policy.String() + "/pipelined"
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := Options{Codec: codec.TRLE{}, GatherRoot: 0, RecvTimeout: 300 * time.Millisecond, OnMissing: policy}
+				opts.Pipeline.Enabled = pipelined
+				p := sched.P
+				finals := make([]*raster.Image, p)
+				reps := make([]*Report, p)
+				errs := make([]error, p)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					inproc.Run(p, func(c comm.Comm) error {
+						probe := &probeComm{Comm: c}
+						if c.Rank() == tr.To {
+							probe.cut = func(tag int) bool { return tag == cutTag }
+						}
+						finals[c.Rank()], reps[c.Rank()], errs[c.Rank()] = Run(probe, sched, layers[c.Rank()], opts)
+						return nil
+					})
+				}()
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("corrupt-payload case HUNG")
+				}
+				switch policy {
+				case FailFast:
+					if !errors.Is(errs[tr.To], codec.ErrCorrupt) {
+						t.Fatalf("rank %d error %v, want one wrapping codec.ErrCorrupt", tr.To, errs[tr.To])
+					}
+				case ComposePartial:
+					for r, err := range errs {
+						if err != nil {
+							t.Fatalf("rank %d failed: %v", r, err)
+						}
+					}
+					if rep := reps[tr.To]; !rep.Degraded || rep.MissingTransfers < 1 {
+						t.Fatalf("rank %d report %+v, want Degraded with a missing transfer", tr.To, rep)
+					}
+					if finals[0] == nil {
+						t.Fatal("no image on the root")
+					}
+				case Recover:
+					for r, err := range errs {
+						if err != nil {
+							t.Fatalf("rank %d failed: %v", r, err)
+						}
+						if rep := reps[r]; rep.RecoveryEpochs != 1 || rep.Degraded {
+							t.Fatalf("rank %d report %+v, want one re-executed epoch and a clean result", r, rep)
+						}
+					}
+					if finals[0] == nil || !raster.Equal(finals[0], want) {
+						t.Fatal("recovered image differs from the serial composite")
+					}
+				}
+			})
+		}
+	}
+}

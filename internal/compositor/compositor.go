@@ -103,10 +103,6 @@ type Options struct {
 	// (DefaultMaxRecoveries); a negative value forbids re-execution, so
 	// any failure goes straight to the compose-partial fallback.
 	MaxRecoveries int
-	// AgreeTimeout bounds each membership agreement round under Recover.
-	// Zero means 3x RecvTimeout — enough for a peer that was still blocked
-	// on the dead rank to reach the agreement late.
-	AgreeTimeout time.Duration
 	// Telemetry records per-phase spans (encode/send/recv/decode/merge/
 	// gather) and per-step byte counters for this run. Nil disables
 	// recording — the default, and effectively free on the hot path.
@@ -240,7 +236,7 @@ var errAborted = errors.New("compositor: attempt aborted")
 
 // attempt is one synchronous execution of a plan on this rank — the step
 // loop and the gather that every fault policy shares. The policies differ
-// only in the attempt's reaction at a fault site (fault and deadline).
+// only in the attempt's reaction at a fault site (fault and waitPastDeadline).
 type attempt struct {
 	c     comm.Comm
 	opts  Options // OnMissing selects the reaction
@@ -390,12 +386,7 @@ func (a *attempt) run(plan *schedule.Schedule, local *raster.Image, owners []int
 // ranks the membership holds alive.
 func (a *attempt) gatherFinal(st *fragstore.Store, w, h int) (*raster.Image, error) {
 	root := a.opts.GatherRoot
-	need := 16
-	for _, b := range st.Blocks() {
-		need += len(st.Frags(b)[0].Data) + 32
-	}
-	buf := encodeFinalBlocks(a.scr.reserveEnc(need), st)
-	a.scr.enc = buf[:0:cap(buf)]
+	buf := encodeFinalBlocks(a.scr, st)
 	if a.me != root {
 		if err := a.c.Send(root, gatherTag(a.epoch), buf); err != nil {
 			err = fmt.Errorf("compositor: gather send: %w", err)
@@ -493,7 +484,7 @@ func (a *attempt) receive(si int, lost *int, deliver func(tr schedule.Transfer, 
 				continue
 			}
 			suspects := senders(trs)
-			if errors.Is(err, comm.ErrDeadline) && a.deadline(suspects) {
+			if errors.Is(err, comm.ErrDeadline) && waitPastDeadline(a.opts, a.me, suspects) {
 				continue
 			}
 			// Everything still owed missed the deadline.
@@ -543,18 +534,17 @@ func (a *attempt) fault(err error, suspects []int, lost *int, n int) error {
 	return err
 }
 
-// deadline charges one receive deadline to each suspect and reports whether
-// to keep waiting: under Recover it is graceOrEscalate's brownout-vs-death
-// decision; the other policies never wait past a deadline.
-func (a *attempt) deadline(suspects []int) bool {
-	a.tel.Add(a.me, telemetry.CtrDeadlineHits, 1)
-	if a.opts.OnMissing == Recover {
-		return a.rx.graceOrEscalate(suspects)
-	}
+// waitPastDeadline is the one deadline decision of both executors and the
+// Recover replica exchange: it counts the deadline hit, charges a miss to
+// each suspect and reports whether to keep waiting. Under Recover that is
+// graceOrEscalate's brownout-vs-death call; the other policies never wait
+// past a deadline.
+func waitPastDeadline(opts Options, me int, suspects []int) bool {
+	opts.Telemetry.Add(me, telemetry.CtrDeadlineHits, 1)
 	for _, s := range suspects {
-		a.opts.Health.DeadlineMiss(s)
+		opts.Health.DeadlineMiss(s)
 	}
-	return false
+	return opts.OnMissing == Recover && graceOrEscalate(opts, me, suspects)
 }
 
 // senders lists the distinct source ranks of the transfers, ascending.
@@ -691,21 +681,11 @@ func (scr *runScratch) release() {
 // codec that exceeds it only costs an append reallocation.
 func encBound(rawLen int) int { return 2*rawLen + 32 }
 
-// EncodeFragments serialises a fragment list with the given codec:
-// uvarint(count), then per fragment uvarint(lo), uvarint(hi),
-// uvarint(len(enc)), enc. It also reports the raw and encoded payload
-// sizes. The format is shared with the virtual-time simulator so both
-// account wire bytes identically.
-func EncodeFragments(frags []fragstore.Fragment, cdc codec.Codec) (buf []byte, raw, wire int64) {
-	var fragScratch []byte
-	buf, raw, wire = EncodeFragmentsAppend(nil, frags, cdc, &fragScratch)
-	bufpool.Put(fragScratch[:0])
-	return buf, raw, wire
-}
-
-// EncodeFragmentsAppend is EncodeFragments appending to dst, producing the
-// identical wire format without allocating once dst and *fragScratch are
-// warm. Each fragment is encoded into *fragScratch first — the format puts
+// EncodeFragmentsAppend serialises a fragment list with the given codec,
+// appending to dst: uvarint(count), then per fragment uvarint(lo),
+// uvarint(hi), uvarint(len(enc)), enc. It also reports the raw and encoded
+// payload sizes, and allocates nothing once dst and *fragScratch are warm.
+// Each fragment is encoded into *fragScratch first — the format puts
 // uvarint(len(enc)) before enc, so the length must be known before the
 // bytes land in the message — then copied in.
 func EncodeFragmentsAppend(dst []byte, frags []fragstore.Fragment, cdc codec.Codec, fragScratch *[]byte) (buf []byte, raw, wire int64) {
@@ -725,70 +705,6 @@ func EncodeFragmentsAppend(dst []byte, frags []fragstore.Fragment, cdc codec.Cod
 		buf = append(buf, enc...)
 	}
 	return buf, raw, wire
-}
-
-// DecodeFragments inverts EncodeFragments for a block of npix pixels. All
-// failures wrap codec.ErrCorrupt, so callers can treat a mangled payload
-// like a lost message under a degradation policy. Fragment buffers are
-// freshly allocated and never alias payload.
-func DecodeFragments(payload []byte, cdc codec.Codec, npix int) ([]fragstore.Fragment, error) {
-	return decodeFragments(nil, payload, cdc, npix, false)
-}
-
-// DecodeFragmentsInto is DecodeFragments appending to dst, drawing the
-// fragment buffers from the buffer pool: ownership of each Data buffer
-// passes to the caller (in practice, to the fragment store, which releases
-// it back to the pool when a composite drops it). The returned fragments
-// never alias payload, so the caller may recycle payload immediately.
-func DecodeFragmentsInto(dst []fragstore.Fragment, payload []byte, cdc codec.Codec, npix int) ([]fragstore.Fragment, error) {
-	return decodeFragments(dst, payload, cdc, npix, true)
-}
-
-func decodeFragments(dst []fragstore.Fragment, payload []byte, cdc codec.Codec, npix int, pooled bool) ([]fragstore.Fragment, error) {
-	incoming := dst
-	fail := func(err error) ([]fragstore.Fragment, error) {
-		if pooled {
-			fragstore.ReleaseAll(incoming[len(dst):])
-		}
-		return nil, err
-	}
-	nfrags, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return fail(fmt.Errorf("compositor: %w: block message header", codec.ErrCorrupt))
-	}
-	rest := payload[off:]
-	for i := uint64(0); i < nfrags; i++ {
-		var vals [3]uint64
-		for j := range vals {
-			v, k := binary.Uvarint(rest)
-			if k <= 0 {
-				return fail(fmt.Errorf("compositor: %w: fragment header", codec.ErrCorrupt))
-			}
-			vals[j], rest = v, rest[k:]
-		}
-		n := vals[2]
-		if uint64(len(rest)) < n {
-			return fail(fmt.Errorf("compositor: %w: fragment length", codec.ErrCorrupt))
-		}
-		var buf []byte
-		if pooled {
-			buf = bufpool.Get(npix * raster.BytesPerPixel)
-		}
-		data, err := cdc.DecodeInto(buf, rest[:n], npix)
-		if err != nil {
-			bufpool.Put(buf)
-			return fail(fmt.Errorf("compositor: decoding fragment: %w", err))
-		}
-		rest = rest[n:]
-		incoming = append(incoming, fragstore.Fragment{
-			Rng:  schedule.RankRange{Lo: int(vals[0]), Hi: int(vals[1])},
-			Data: data,
-		})
-	}
-	if len(rest) != 0 {
-		return fail(fmt.Errorf("compositor: %w: %d trailing bytes in block message", codec.ErrCorrupt, len(rest)))
-	}
-	return incoming, nil
 }
 
 func send(c comm.Comm, st *fragstore.Store, cdc codec.Codec, rep *Report, tel *telemetry.Recorder, epoch, step int, tr schedule.Transfer, scr *runScratch) error {
@@ -878,20 +794,26 @@ func merge(st *fragstore.Store, cdc codec.Codec, rep *Report, tel *telemetry.Rec
 	return nil
 }
 
-// encodeFinalBlocks serialises a rank's final blocks for the gather,
-// appending to dst: uvarint block count, then per block uvarint
+// encodeFinalBlocks serialises a rank's final blocks for the gather into the
+// scratch's message buffer: uvarint block count, then per block uvarint
 // tile/level/index followed by the raw composited pixels. Payloads travel
 // raw: they are dense after compositing, and the paper's composition-time
-// figures exclude the gather as a common cost across all methods.
-func encodeFinalBlocks(dst []byte, st *fragstore.Store) []byte {
+// figures exclude the gather as a common cost across all methods. The frame
+// stays valid until the scratch's next use.
+func encodeFinalBlocks(scr *runScratch, st *fragstore.Store) []byte {
 	blocks := st.Blocks()
-	buf := binary.AppendUvarint(dst, uint64(len(blocks)))
+	need := 16
+	for _, b := range blocks {
+		need += len(st.Frags(b)[0].Data) + 32
+	}
+	buf := binary.AppendUvarint(scr.reserveEnc(need), uint64(len(blocks)))
 	for _, b := range blocks {
 		buf = binary.AppendUvarint(buf, uint64(b.Tile))
 		buf = binary.AppendUvarint(buf, uint64(b.Level))
 		buf = binary.AppendUvarint(buf, uint64(b.Index))
 		buf = append(buf, st.Frags(b)[0].Data...)
 	}
+	scr.enc = buf[:0:cap(buf)]
 	return buf
 }
 

@@ -24,7 +24,7 @@ package compositor
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"slices"
 	"time"
 
 	"rtcomp/internal/bufpool"
@@ -335,7 +335,9 @@ func (pr *pipeRun) buildHedgePayload(origin, si int, b schedule.Block) ([]byte, 
 	if err != nil {
 		return nil, false
 	}
-	payload, _, _ := EncodeFragments(frags, pr.cdc)
+	var fragScratch []byte
+	payload, _, _ := EncodeFragmentsAppend(nil, frags, pr.cdc, &fragScratch)
+	bufpool.Put(fragScratch[:0])
 	fragstore.ReleaseAll(frags)
 	return payload, true
 }
@@ -375,27 +377,19 @@ func (pr *pipeRun) exchangeHedgeReplicas() error {
 	if buddy == pr.me && len(wards) == 0 {
 		return nil
 	}
-	if src := pr.opts.Pipeline.Source; src != nil {
-		// The replica must be the final local sub-image; hedging trades
-		// render overlap for it, exactly like the Recover policy.
-		for t, span := range pr.spans {
-			if err := src.WaitTile(t, span); err != nil {
-				return fmt.Errorf("compositor: tile %d render: %w", t, err)
-			}
-		}
+	// The replica must be the final local sub-image; hedging trades render
+	// overlap for it, exactly like the Recover policy.
+	if err := waitRendered(pr.opts.Pipeline.Source, pr.spans); err != nil {
+		return err
 	}
 	end := pr.tel.Span(pr.me, telemetry.PhaseReplicate, telemetry.CatNetwork, telemetry.StepNone)
 	defer end()
 	if buddy != pr.me {
 		scr := newRunScratch()
 		defer scr.release()
-		frame := encodeReplica(scr, pr.local, pr.cdc)
-		pr.tel.Add(pr.me, telemetry.CtrReplicaMsgs, 1)
-		pr.tel.Add(pr.me, telemetry.CtrReplicaRawBytes, int64(len(pr.local.Pix)))
-		pr.tel.Add(pr.me, telemetry.CtrReplicaWireBytes, int64(len(frame)))
 		// Best-effort: a failed send only costs the buddy its ability to
 		// hedge for us.
-		_ = pr.c.Send(buddy, tagHedgeReplica, frame)
+		_ = sendReplica(pr.c, pr.tel, scr, buddy, tagHedgeReplica, pr.local, pr.cdc)
 	}
 	pr.replicas = map[int]*raster.Image{}
 	timeout := pr.opts.RecvTimeout
@@ -403,13 +397,11 @@ func (pr *pipeRun) exchangeHedgeReplicas() error {
 		timeout = 5 * time.Second
 	}
 	deadline := time.Now().Add(timeout)
-	need := map[int]bool{}
 	var keys []comm.MsgKey
 	for _, w := range wards {
-		need[w] = true
 		keys = append(keys, comm.MsgKey{From: w, Tag: tagHedgeReplica})
 	}
-	for len(need) > 0 {
+	for len(keys) > 0 {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			break
@@ -418,21 +410,17 @@ func (pr *pipeRun) exchangeHedgeReplicas() error {
 		if err != nil {
 			break // deadline or peer failure: hedge-degraded, never fatal
 		}
+		// Each ward sends once: its frame settles it, usable or not. A
+		// corrupt replica only leaves the ward unhedgeable.
+		keys = slices.DeleteFunc(keys, func(k comm.MsgKey) bool { return k.From == from })
 		img, derr := decodeReplica(payload, pr.cdc, pr.local.W, pr.local.H)
 		bufpool.Put(payload)
-		if derr == nil && need[from] {
-			delete(need, from)
-			for i, k := range keys {
-				if k.From == from {
-					keys = append(keys[:i], keys[i+1:]...)
-					break
-				}
-			}
+		if derr == nil {
 			pr.replicas[from] = img
 		}
 	}
-	for w := range need {
-		pr.expect[comm.MsgKey{From: w, Tag: tagHedgeReplica}] = pipeExpect{kind: kStale}
+	for _, k := range keys {
+		pr.expect[k] = pipeExpect{kind: kStale}
 	}
 	return nil
 }

@@ -425,3 +425,48 @@ func FuzzHedgeRequestDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestHedgeCorruptReplicaDoesNotStall corrupts the up-front hedge replica
+// one rank receives from its ward. The ward is merely unhedgeable; the run
+// must not wait out the receive deadline for a second frame that is never
+// sent.
+func TestHedgeCorruptReplicaDoesNotStall(t *testing.T) {
+	const p = 4
+	sched, err := schedule.NRT(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8303))
+	layers := makeLayers(rng, p, 64, 64, true)
+	want := runInproc(t, sched, layers, codec.TRLE{})
+	opts := Options{
+		Codec:       codec.TRLE{},
+		GatherRoot:  0,
+		RecvTimeout: 2 * time.Second,
+		Pipeline:    PipelineConfig{Enabled: true, Hedge: HedgeConfig{Enabled: true}},
+	}
+	holder := schedule.Buddy(1, p)
+	finals := make([]*raster.Image, p)
+	errs := make([]error, p)
+	start := time.Now()
+	inproc.Run(p, func(c comm.Comm) error {
+		probe := &probeComm{Comm: c}
+		if c.Rank() == holder {
+			probe.cut = func(tag int) bool { return tag == tagHedgeReplica }
+		}
+		finals[c.Rank()], _, errs[c.Rank()] = Run(probe, sched, layers[c.Rank()], opts)
+		return nil
+	})
+	elapsed := time.Since(start)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if !raster.Equal(finals[0], want) {
+		t.Fatalf("image differs from the fault-free oracle: maxdiff=%d", raster.MaxDiff(finals[0], want))
+	}
+	if elapsed >= opts.RecvTimeout/2 {
+		t.Fatalf("run took %v: the corrupt replica stalled the exchange toward its %v deadline", elapsed, opts.RecvTimeout)
+	}
+}

@@ -155,7 +155,7 @@ type pipeRun struct {
 	me    int
 	root  int
 	epoch int
-	recov *rexec // non-nil: epoch-0 attempt under the Recover policy
+	recov *rexec // the Recover policy's epoch engine (notices, replicas); nil otherwise
 
 	plans        [][]tileStep
 	spans        []raster.Span
@@ -206,8 +206,11 @@ type pipeRun struct {
 	aborted bool
 	final   *raster.Image
 
-	sawMissing atomic.Bool
-	workerWG   sync.WaitGroup
+	// sawMissing is set once the receiver declares a message lost;
+	// gatherMissing (receiver-owned) counts each silent gather source once.
+	sawMissing    atomic.Bool
+	gatherMissing map[int]bool
+	workerWG      sync.WaitGroup
 
 	t0 time.Time // run start; OnPartial delivery latency is measured from it
 }
@@ -249,6 +252,8 @@ func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 		recvDone: make(chan struct{}),
 		asmDone:  make(chan struct{}),
 		expect:   map[comm.MsgKey]pipeExpect{},
+
+		gatherMissing: map[int]bool{},
 	}
 
 	pr.tileCh = make([]chan tileMsg, sched.Tiles)
@@ -373,17 +378,13 @@ func (pr *pipeRun) fail(err error) error {
 	return errPipeStop
 }
 
-func (pr *pipeRun) failf(format string, args ...any) error {
-	return pr.fail(fmt.Errorf(format, args...))
-}
-
 // abortAttempt abandons a Recover-policy attempt: broadcast this epoch's
 // FAILED notice (unless a peer's notice is what triggered the abort), mark
 // the run aborted and cancel it. The caller's join then drains the
 // in-flight window before the membership agreement runs.
 func (pr *pipeRun) abortAttempt(suspects []int, broadcast bool) {
 	pr.abortOnce.Do(func() {
-		if broadcast && pr.recov != nil {
+		if broadcast {
 			pr.recov.abort(suspects)
 		}
 		pr.tel.Flight(pr.me, telemetry.FlightEpoch, telemetry.StepNone, -1, -1, "attempt aborted")
@@ -392,6 +393,25 @@ func (pr *pipeRun) abortAttempt(suspects []int, broadcast bool) {
 		pr.mu.Unlock()
 	})
 	pr.stop()
+}
+
+// fault is the pipelined run's one reaction at a worker or assembler fault
+// site, shaped like attempt.fault. FailFast records err and cancels the run.
+// ComposePartial drops the lost work — it flags the worker's report shard
+// rep Degraded, adds one to *lost and carries on (nil) — unless the fault
+// leaves nothing to drop (lost == nil). Recover abandons the attempt to the
+// membership agreement, naming the suspects. A non-nil result is errPipeStop.
+func (pr *pipeRun) fault(rep *Report, err error, suspects []int, lost *int) error {
+	switch {
+	case pr.opts.OnMissing == Recover:
+		pr.abortAttempt(suspects, true)
+		return errPipeStop
+	case pr.opts.OnMissing == ComposePartial && lost != nil:
+		rep.Degraded = true
+		*lost++
+		return nil
+	}
+	return pr.fail(err)
 }
 
 // fireOnStep invokes the chaos seam the first time any tile enters a step.
@@ -455,7 +475,7 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 	tel.Flight(me, telemetry.FlightTile, telemetry.StepNone, t, -1, "claimed")
 	if src := pr.opts.Pipeline.Source; src != nil {
 		if err := src.WaitTile(t, pr.spans[t]); err != nil {
-			return pr.failf("compositor: tile %d render: %w", t, err)
+			return pr.fail(fmt.Errorf("compositor: tile %d render: %w", t, err))
 		}
 	}
 	endTile := tel.Span(me, telemetry.PhaseTile, telemetry.CatCompute, t)
@@ -480,19 +500,13 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 		}
 		for _, tr := range ts.sends {
 			if err := send(pr.c, st, pr.cdc, &w.rep, tel, pr.epoch, ts.step, tr, w.scr); err != nil {
-				if pr.recov != nil {
-					if comm.IsRecoverable(err) {
-						pr.abortAttempt(suspectsOf(err, tr.To), true)
-						return errPipeStop
-					}
-					return pr.failf("compositor: step %d: %w", ts.step+1, err)
+				err = fmt.Errorf("compositor: step %d: %w", ts.step+1, err)
+				if !comm.IsRecoverable(err) {
+					return pr.fail(err)
 				}
-				if pr.opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-					w.rep.Degraded = true
-					w.rep.MissingTransfers++
-					continue
+				if err := pr.fault(&w.rep, err, suspectsOf(err, tr.To), &w.rep.MissingTransfers); err != nil {
+					return err
 				}
-				return pr.failf("compositor: step %d: %w", ts.step+1, err)
 			}
 		}
 		// Hedgeable transfers still outstanding for this step arm a timer:
@@ -544,18 +558,14 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 				continue
 			}
 			if err := merge(st, pr.cdc, &w.rep, tel, ts.step, m.tr, m.payload, w.scr); err != nil {
-				if errors.Is(err, codec.ErrCorrupt) {
-					if pr.recov != nil {
-						pr.abortAttempt(nil, true)
-						return errPipeStop
-					}
-					if pr.opts.OnMissing == ComposePartial {
-						w.rep.Degraded = true
-						w.rep.MissingTransfers++
-						continue
-					}
+				if !errors.Is(err, codec.ErrCorrupt) {
+					return pr.fail(err)
 				}
-				return pr.fail(err)
+				// A corrupt payload is lost like a dropped message; its
+				// sender is alive, so a clean re-execution may succeed.
+				if err := pr.fault(&w.rep, err, nil, &w.rep.MissingTransfers); err != nil {
+					return err
+				}
 			}
 		}
 		hedgeStop(hedgeTimer)
@@ -569,7 +579,7 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 		return pr.fail(err)
 	}
 	w.rep.OverPixels += overPix
-	if pr.recov == nil && pr.opts.OnMissing == ComposePartial {
+	if pr.opts.OnMissing == ComposePartial {
 		missing, err := st.FillGaps(pr.sched.P)
 		if err != nil {
 			return pr.fail(err)
@@ -580,11 +590,7 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 		}
 	}
 	if err := st.CheckComplete(pr.sched.P); err != nil {
-		if pr.recov != nil {
-			pr.abortAttempt(nil, true)
-			return errPipeStop
-		}
-		return pr.fail(err)
+		return pr.fault(&w.rep, err, nil, nil)
 	}
 	w.rep.FinalBlocks += st.Len()
 
@@ -640,12 +646,7 @@ func (pr *pipeRun) deliverTile(w *pipeWorker, t int, st *fragstore.Store, handed
 		}
 		return nil
 	}
-	need := 16
-	for _, b := range st.Blocks() {
-		need += len(st.Frags(b)[0].Data) + 32
-	}
-	buf := encodeFinalBlocks(w.scr.reserveEnc(need), st)
-	w.scr.enc = buf[:0:cap(buf)]
+	buf := encodeFinalBlocks(w.scr, st)
 	select {
 	case <-pr.credits:
 	default:
@@ -662,19 +663,11 @@ func (pr *pipeRun) deliverTile(w *pipeWorker, t int, st *fragstore.Store, handed
 		traceid.Context{Step: -1, Tile: t, Epoch: pr.epoch})
 	endG()
 	if err != nil {
-		if pr.recov != nil {
-			if comm.IsRecoverable(err) {
-				pr.abortAttempt(suspectsOf(err, pr.root), true)
-				return errPipeStop
-			}
-			return pr.failf("compositor: gather send: %w", err)
+		err = fmt.Errorf("compositor: gather send: %w", err)
+		if !comm.IsRecoverable(err) {
+			return pr.fail(err)
 		}
-		if pr.opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-			w.rep.Degraded = true
-			w.rep.MissingGathers++
-			return nil
-		}
-		return pr.failf("compositor: gather send: %w", err)
+		return pr.fault(&w.rep, err, suspectsOf(err, pr.root), &w.rep.MissingGathers)
 	}
 	return nil
 }
@@ -729,16 +722,17 @@ func (pr *pipeRun) assembler() {
 					pr.tel.Add(pr.me, telemetry.CtrCreditsGranted, 1)
 					if err := comm.SendCtx(pr.c, m.from, creditTag(pr.epoch, seq), creditFrame,
 						traceid.Context{Step: -1, Tile: t, Epoch: pr.epoch}); err != nil {
-						if pr.recov != nil && comm.IsRecoverable(err) {
-							pr.abortAttempt(suspectsOf(err, m.from), true)
-							return
-						}
+						err = fmt.Errorf("compositor: credit grant to rank %d: %w", m.from, err)
 						if !comm.IsRecoverable(err) {
-							pr.fail(fmt.Errorf("compositor: credit grant to rank %d: %w", m.from, err))
+							pr.fail(err)
 							return
 						}
-						// A dead peer misses its credit; its own deadline
-						// releases it.
+						// A lost credit loses no pixels: outside Recover the
+						// peer's own deadline releases it.
+						if pr.opts.OnMissing == Recover {
+							pr.fault(nil, err, suspectsOf(err, m.from), nil)
+							return
+						}
 					}
 				}
 			}
@@ -753,12 +747,11 @@ func (pr *pipeRun) assembler() {
 					pr.tel.Observe(pr.me, telemetry.HistPartialLatency, time.Since(pr.t0))
 					pr.partials.publish(t, pr.spans[t], out.SpanBytes(pr.spans[t]), nfired, tiles)
 				}
-			} else if pr.recov != nil {
-				pr.abortAttempt(nil, true)
-				return
 			} else if !pr.sawMissing.Load() {
-				pr.fail(fmt.Errorf("compositor: tile %d gathered %d of %d pixels",
-					t, covered[t], pr.spans[t].Len()))
+				// Short of pixels with nothing declared lost: some
+				// contribution silently vanished.
+				pr.fault(nil, fmt.Errorf("compositor: tile %d gathered %d of %d pixels",
+					t, covered[t], pr.spans[t].Len()), nil, nil)
 				return
 			}
 		}
@@ -786,8 +779,8 @@ func (pr *pipeRun) receiver() {
 			}
 		}
 	}()
-	gatherMissing := map[int]bool{}
 	var keys []comm.MsgKey
+	var perr *comm.PeerError
 	var silence time.Duration
 	lastArr := time.Now()
 	for {
@@ -864,14 +857,16 @@ func (pr *pipeRun) receiver() {
 			}
 			silence += timeout
 			if deadline > 0 && silence >= deadline {
-				pr.tel.Add(pr.me, telemetry.CtrDeadlineHits, 1)
-				if pr.onDeadline(err, gatherMissing) {
+				silence = 0
+				suspects := pr.pendingSenders()
+				if !waitPastDeadline(pr.opts, pr.me, suspects) &&
+					pr.onLost(err, suspects, func(comm.MsgKey) bool { return true }) {
 					return
 				}
-				silence = 0
 			}
-		case comm.IsRecoverable(err):
-			if pr.onPeerError(err, gatherMissing) {
+		case errors.As(err, &perr):
+			// Only that peer's messages are hopeless.
+			if pr.onLost(err, []int{perr.Rank}, func(k comm.MsgKey) bool { return k.From == perr.Rank }) {
 				return
 			}
 		default:
@@ -941,54 +936,24 @@ func (pr *pipeRun) dispatch(from, tag int, payload []byte) {
 	}
 }
 
-// onDeadline handles a real receive deadline (RecvTimeout of continuous
-// silence across every outstanding key). Returns true when the receiver
-// should exit.
-func (pr *pipeRun) onDeadline(err error, gatherMissing map[int]bool) bool {
-	suspects := pr.pendingSenders()
-	if pr.recov != nil {
-		// Brownout vs death: a slow but delivering peer earns grace; only
-		// a score sustained past the escalation bar aborts to agreement.
-		if pr.recov.graceOrEscalate(suspects) {
-			return false
-		}
+// onLost is the receiver's one reaction to messages that will not come:
+// those matched by a receive deadline (every outstanding key, after
+// waitPastDeadline declined to wait) or by a peer error (that peer's keys).
+// Recover abandons the attempt naming the suspects, ComposePartial declares
+// the matched messages lost and keeps pumping, FailFast fails with the stall
+// dump. Returns true when the receiver should exit.
+func (pr *pipeRun) onLost(err error, suspects []int, match func(comm.MsgKey) bool) bool {
+	switch pr.opts.OnMissing {
+	case Recover:
 		pr.abortAttempt(suspects, true)
 		return true
+	case ComposePartial:
+		pr.dropPending(match)
+		return false // the loop exits on its own once nothing substantive is owed
 	}
-	for _, s := range suspects {
-		pr.health.DeadlineMiss(s)
-	}
-	switch {
-	case pr.opts.OnMissing == ComposePartial:
-		pr.dropPending(func(comm.MsgKey) bool { return true }, gatherMissing)
-		return false // expect is empty now; the loop exits on its own
-	default:
-		pr.tel.Flight(pr.me, telemetry.FlightStall, telemetry.StepNone, -1, -1, "pipeline stalled")
-		pr.fail(fmt.Errorf("compositor: pipeline stalled: %w\n%s", err, pr.stallDump()))
-		return true
-	}
-}
-
-// onPeerError handles a fabric-reported peer failure. Returns true when
-// the receiver should exit.
-func (pr *pipeRun) onPeerError(err error, gatherMissing map[int]bool) bool {
-	var perr *comm.PeerError
-	if !errors.As(err, &perr) {
-		pr.fail(fmt.Errorf("compositor: pipeline receive: %w", err))
-		return true
-	}
-	switch {
-	case pr.recov != nil:
-		pr.abortAttempt([]int{perr.Rank}, true)
-		return true
-	case pr.opts.OnMissing == ComposePartial:
-		pr.dropPending(func(k comm.MsgKey) bool { return k.From == perr.Rank }, gatherMissing)
-		return false
-	default:
-		pr.tel.Flight(pr.me, telemetry.FlightStall, telemetry.StepNone, -1, -1, "peer failed")
-		pr.fail(fmt.Errorf("compositor: pipeline: %w\n%s", err, pr.stallDump()))
-		return true
-	}
+	pr.tel.Flight(pr.me, telemetry.FlightStall, telemetry.StepNone, -1, -1, "pipeline stalled")
+	pr.fail(fmt.Errorf("compositor: pipeline stalled: %w\n%s", err, pr.stallDump()))
+	return true
 }
 
 // stallDump is the post-mortem a FailFast stall fails with: the per-tile
@@ -1007,7 +972,7 @@ func (pr *pipeRun) stallDump() string {
 // the owning tile substitutes blanks, gather contributions become missing
 // notices to the assembler (counted once per source rank), and credits are
 // granted locally so no worker starves on a silent root.
-func (pr *pipeRun) dropPending(match func(comm.MsgKey) bool, gatherMissing map[int]bool) {
+func (pr *pipeRun) dropPending(match func(comm.MsgKey) bool) {
 	type drop struct {
 		k comm.MsgKey
 		d pipeExpect
@@ -1066,8 +1031,8 @@ func (pr *pipeRun) dropPending(match func(comm.MsgKey) bool, gatherMissing map[i
 		case kStep:
 			pr.tileCh[kd.d.tr.Block.Tile] <- tileMsg{si: kd.d.si, tr: kd.d.tr}
 		case kGather:
-			if !gatherMissing[kd.k.From] {
-				gatherMissing[kd.k.From] = true
+			if !pr.gatherMissing[kd.k.From] {
+				pr.gatherMissing[kd.k.From] = true
 				pr.mu.Lock()
 				pr.rep.MissingGathers++
 				pr.mu.Unlock()

@@ -24,7 +24,8 @@
 // Every synchronous attempt — each epoch and the fallback — runs through
 // runAttempt, the same step loop and gather as the fail and partial
 // policies: one attempt, three reactions. Under Recover the reaction at a
-// fault site is graceOrEscalate (at a deadline), then abort.
+// fault site is graceOrEscalate (at a deadline), then abort. The pipelined
+// epoch-0 attempt reacts the same way through pipeRun.fault and onLost.
 package compositor
 
 import (
@@ -46,6 +47,11 @@ import (
 // DefaultMaxRecoveries is the re-execution budget when Options.MaxRecoveries
 // is zero: enough for one genuine failure plus one false alarm.
 const DefaultMaxRecoveries = 2
+
+// agreeRecvTimeouts is the membership agreement's timeout in receive
+// deadlines (RecvTimeout): enough for a peer that was still blocked on the
+// dead rank to reach the agreement late.
+const agreeRecvTimeouts = 3
 
 // Reserved epoch-0 tags of the recovery protocol, below 2^40 like
 // tagGatherFinal (step tags always carry step+1 >= 1 in bits 40+).
@@ -100,28 +106,25 @@ func (rx *rexec) abort(suspects []int) bool {
 	return true
 }
 
-// graceOrEscalate is the brownout-vs-death decision at a receive deadline:
-// it records a deadline miss against every suspect and reports whether the
-// attempt should keep waiting (grace). Without health scoring the answer is
-// always to abort — the pre-existing silence-only semantics. With it, only
+// graceOrEscalate is the Recover policy's brownout-vs-death decision at a
+// receive deadline, once waitPastDeadline has charged the misses: it reports
+// whether the attempt should keep waiting (grace). Without health scoring
+// the answer is always to abort — the silence-only semantics. With it, only
 // a suspect whose misbehavior is sustained past the escalation bar hands
 // the attempt to failure agreement; a slow-but-delivering peer's score
 // decays on every arrival and never gets there.
-func (rx *rexec) graceOrEscalate(suspects []int) bool {
-	for _, s := range suspects {
-		rx.opts.Health.DeadlineMiss(s)
-	}
-	if rx.opts.Health == nil || len(suspects) == 0 {
+func graceOrEscalate(opts Options, me int, suspects []int) bool {
+	if opts.Health == nil || len(suspects) == 0 {
 		return false
 	}
 	for _, s := range suspects {
-		if rx.opts.Health.ShouldEscalate(s) {
-			rx.tel.Add(rx.me, telemetry.CtrHealthEscalations, 1)
+		if opts.Health.ShouldEscalate(s) {
+			opts.Telemetry.Add(me, telemetry.CtrHealthEscalations, 1)
 			return false
 		}
 	}
-	rx.tel.Add(rx.me, telemetry.CtrDeadlineGrace, 1)
-	rx.tel.Flight(rx.me, telemetry.FlightGray, telemetry.StepNone, -1, -1,
+	opts.Telemetry.Add(me, telemetry.CtrDeadlineGrace, 1)
+	opts.Telemetry.Flight(me, telemetry.FlightGray, telemetry.StepNone, -1, -1,
 		fmt.Sprintf("deadline grace for ranks %v", suspects))
 	return true
 }
@@ -145,15 +148,11 @@ func runRecover(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 	rx := newRexec(c, sched, local, opts, cdc, &Report{Rank: c.Rank()}, comm.NewMembership(sched.P))
 	defer rx.scr.release()
 	defer func() { releaseImages(rx.replicas) }()
-	if src := opts.Pipeline.Source; opts.Pipeline.Enabled && src != nil {
-		// The replica exchange ships the complete local sub-image, so the
-		// render must finish before replication: Recover trades render
-		// overlap for a certifiable replica. Later WaitTile calls from the
-		// pipelined attempt return immediately.
-		for t, span := range sched.TileSpans(local.NPixels()) {
-			if err := src.WaitTile(t, span); err != nil {
-				return nil, nil, fmt.Errorf("compositor: tile %d render: %w", t, err)
-			}
+	if opts.Pipeline.Enabled {
+		// Recover trades render overlap for a certifiable replica. Later
+		// WaitTile calls from the pipelined attempt return immediately.
+		if err := waitRendered(opts.Pipeline.Source, sched.TileSpans(local.NPixels())); err != nil {
+			return nil, nil, err
 		}
 	}
 	replicas, aborted, err := rx.exchangeReplicas()
@@ -180,14 +179,12 @@ func runRecover(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 func newRexec(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options,
 	cdc codec.Codec, rep *Report, mem *comm.Membership) *rexec {
 	rx := &rexec{c: c, sched: sched, local: local, opts: opts, cdc: cdc, rep: rep, tel: opts.Telemetry,
-		me: c.Rank(), mem: mem, scr: newRunScratch(), maxRec: opts.MaxRecoveries, agreeTO: opts.AgreeTimeout}
+		me: c.Rank(), mem: mem, scr: newRunScratch(), maxRec: opts.MaxRecoveries,
+		agreeTO: agreeRecvTimeouts * opts.RecvTimeout}
 	if rx.maxRec == 0 {
 		rx.maxRec = DefaultMaxRecoveries
 	} else if rx.maxRec < 0 {
 		rx.maxRec = 0
-	}
-	if rx.agreeTO <= 0 {
-		rx.agreeTO = 3 * opts.RecvTimeout
 	}
 	return rx
 }
@@ -316,19 +313,26 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	return final, rx.rep, nil
 }
 
-// encodeReplica frames the local sub-image for the buddy exchange into the
-// run scratch: uvarint width, uvarint height, then the codec-compressed
-// pixels. The frame lives in scr.enc until the scratch's next use; Send
-// copies it, so the caller sends it and moves on.
-func encodeReplica(scr *runScratch, img *raster.Image, cdc codec.Codec) []byte {
+// sendReplica ships the local sub-image to a buddy under tag and counts it
+// in the replica counters. The frame — uvarint width, uvarint height, then
+// the codec-compressed pixels — is built in the run scratch, which Send
+// copies out of.
+func sendReplica(c comm.Comm, tel *telemetry.Recorder, scr *runScratch, to, tag int, img *raster.Image, cdc codec.Codec) error {
 	buf := scr.reserveEnc(2*binary.MaxVarintLen64 + encBound(len(img.Pix)))
 	buf = binary.AppendUvarint(buf, uint64(img.W))
 	buf = binary.AppendUvarint(buf, uint64(img.H))
 	scr.enc = cdc.EncodeAppend(buf, img.Pix)
-	return scr.enc
+	if err := c.Send(to, tag, scr.enc); err != nil {
+		return err
+	}
+	me := c.Rank()
+	tel.Add(me, telemetry.CtrReplicaMsgs, 1)
+	tel.Add(me, telemetry.CtrReplicaRawBytes, int64(len(img.Pix)))
+	tel.Add(me, telemetry.CtrReplicaWireBytes, int64(len(scr.enc)))
+	return nil
 }
 
-// decodeReplica inverts encodeReplica into a pooled pixel buffer (release
+// decodeReplica inverts sendReplica's frame into a pooled pixel buffer (release
 // it with bufpool.Put); all failures wrap codec.ErrCorrupt. The image never
 // aliases payload, so the wire buffer recycles either way.
 func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, error) {
@@ -378,17 +382,12 @@ func (rx *rexec) exchangeReplicas() (map[int]*raster.Image, bool, error) {
 	defer endRep()
 
 	aborted := false
-	frame := encodeReplica(rx.scr, rx.local, rx.cdc)
 	buddy := schedule.Buddy(rx.me, p)
-	if err := rx.c.Send(buddy, tagReplica, frame); err != nil {
+	if err := sendReplica(rx.c, rx.tel, rx.scr, buddy, tagReplica, rx.local, rx.cdc); err != nil {
 		if !comm.IsRecoverable(err) {
 			return nil, false, fmt.Errorf("compositor: replica send to buddy %d: %w", buddy, err)
 		}
 		aborted = rx.abort(suspectsOf(err, buddy))
-	} else {
-		rx.tel.Add(rx.me, telemetry.CtrReplicaMsgs, 1)
-		rx.tel.Add(rx.me, telemetry.CtrReplicaRawBytes, int64(len(rx.local.Pix)))
-		rx.tel.Add(rx.me, telemetry.CtrReplicaWireBytes, int64(len(frame)))
 	}
 
 	pending := map[int]bool{}
@@ -410,12 +409,11 @@ func (rx *rexec) exchangeReplicas() (map[int]*raster.Image, bool, error) {
 				delete(pending, perr.Rank)
 				continue
 			case errors.Is(err, comm.ErrDeadline):
-				rx.tel.Add(rx.me, telemetry.CtrDeadlineHits, 1)
 				// A slow ward earns grace here exactly like a slow sender
 				// during the composition: its replica may be the only copy,
 				// and a brownout is not a death.
 				suspects := setKeys(pending)
-				if rx.graceOrEscalate(suspects) {
+				if waitPastDeadline(rx.opts, rx.me, suspects) {
 					continue
 				}
 				aborted = rx.abort(suspects)

@@ -34,6 +34,21 @@ type Source interface {
 	WaitTile(tile int, span raster.Span) error
 }
 
+// waitRendered blocks until src has finished every tile of the local image,
+// for the replica exchanges that ship the complete sub-image. A nil src is
+// already done.
+func waitRendered(src Source, spans []raster.Span) error {
+	if src == nil {
+		return nil
+	}
+	for t, span := range spans {
+		if err := src.WaitTile(t, span); err != nil {
+			return fmt.Errorf("compositor: tile %d render: %w", t, err)
+		}
+	}
+	return nil
+}
+
 // PartialFrame is one progressively delivered tile of the final image,
 // passed to PipelineConfig.OnPartial on the gather root as the tile's last
 // contribution arrives. Pix is borrowed from the frame under assembly and

@@ -139,13 +139,9 @@ type Config struct {
 	Method Method
 	// Codec names the wire compression ("raw", "rle", "trle").
 	Codec string
-	// Accelerate selects RenderSlabAccel, which is RenderSlab: every path
-	// now skips transparent columns wherever that is exact.
-	Accelerate bool
 	// RLE renders from a run-length encoded classified volume, the
 	// Lacroute acceleration structure; byte-identical output. RenderOrbit
 	// builds it once per frame set, every other entry point once per frame.
-	// Takes precedence over Accelerate.
 	RLE bool
 	// Partition selects the data-partitioning scheme of the render stage:
 	// "1d" (default, depth slabs — rank order is depth order) or "2d"
@@ -288,13 +284,11 @@ func (cfg Config) partials(ctx *renderCtx, rank int) (*raster.Image, error) {
 	return nil, fmt.Errorf("core: unknown partition scheme %q", cfg.Partition)
 }
 
-// renderSlab dispatches on the configured acceleration.
+// renderSlab renders a depth slab from the RLE volume when one was built,
+// else from the plain volume.
 func (cfg Config) renderSlab(ctx *renderCtx, lo, hi int) (*raster.Image, error) {
-	switch {
-	case ctx.rle != nil:
+	if ctx.rle != nil {
 		return ctx.r.RenderSlabRLE(ctx.rle, ctx.view, lo, hi)
-	case cfg.Accelerate:
-		return ctx.r.RenderSlabAccel(ctx.view, lo, hi)
 	}
 	return ctx.r.RenderSlab(ctx.view, lo, hi)
 }

@@ -122,23 +122,6 @@ func TestRenderParallelErrors(t *testing.T) {
 	}
 }
 
-// The accelerated render path must not change the pipeline's output.
-func TestAcceleratePreservesOutput(t *testing.T) {
-	cfg := testConfig(4, "nrt:3")
-	plain, err := RenderParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Accelerate = true
-	fast, err := RenderParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !raster.Equal(plain.Intermediate, fast.Intermediate) {
-		t.Fatal("accelerated pipeline differs from plain pipeline")
-	}
-}
-
 // With a 2-D image-space partition the partial footprints are disjoint, so
 // the composited intermediate equals the serial render exactly and the
 // composition method does not matter.

@@ -78,13 +78,13 @@ func (s *stripSource) elapsed() time.Duration {
 
 // startPartials begins rendering this rank's partial image. When the
 // pipelined compositor can consume rows incrementally — 1-D slab
-// partitioning on the plain (non-accelerated) renderer, which has a
+// partitioning on the plain (non-RLE) renderer, which has a
 // band-exact row-restricted kernel — rendering continues in a background
 // goroutine and the returned Source gates each tile on its rows. Otherwise
 // the image is complete on return and the Source is nil; the pipeline still
 // overlaps composition across tiles, just not with the render.
 func (cfg Config) startPartials(ctx *renderCtx, rank, tiles int) (*raster.Image, compositor.Source, error) {
-	stream := cfg.Pipeline && !cfg.RLE && !cfg.Accelerate &&
+	stream := cfg.Pipeline && !cfg.RLE &&
 		(cfg.Partition == "" || cfg.Partition == "1d")
 	if !stream {
 		endRender := cfg.Telemetry.Span(rank, telemetry.PhaseRender, telemetry.CatCompute, telemetry.StepNone)

@@ -38,11 +38,12 @@ func TestPipelinedCorePreservesOutput(t *testing.T) {
 	}
 }
 
-// Acceleration disables the streaming Source (no row-restricted kernel) but
-// not the pipelined composition; output must still be identical.
+// The RLE renderer disables the streaming Source (the render finishes
+// before composition starts) but not the pipelined composition; output must
+// still be identical.
 func TestPipelinedCoreWithAcceleration(t *testing.T) {
 	cfg := testConfig(4, "nrt:4")
-	cfg.Accelerate = true
+	cfg.RLE = true
 	plain, err := RenderParallel(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestPipelinedCoreWithAcceleration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !raster.Equal(plain.Intermediate, piped.Intermediate) {
-		t.Fatal("pipelined+accelerated intermediate differs from synchronous")
+		t.Fatal("pipelined RLE-render intermediate differs from synchronous")
 	}
 }
 

@@ -27,15 +27,14 @@ func runScaling(o Options) ([]*stats.Table, error) {
 	var base time.Duration
 	for _, p := range ps {
 		cfg := core.Config{
-			Dataset:    o.Dataset,
-			VolumeN:    o.VolumeN,
-			Camera:     o.Camera,
-			Width:      o.Width,
-			Height:     o.Height,
-			P:          p,
-			Method:     core.Method{Kind: "rt"}, // N resolved automatically
-			Codec:      "trle",
-			Accelerate: true,
+			Dataset: o.Dataset,
+			VolumeN: o.VolumeN,
+			Camera:  o.Camera,
+			Width:   o.Width,
+			Height:  o.Height,
+			P:       p,
+			Method:  core.Method{Kind: "rt"}, // N resolved automatically
+			Codec:   "trle",
 		}
 		// Best of three runs smooths scheduler noise.
 		var best *core.FrameReport

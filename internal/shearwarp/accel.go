@@ -1,7 +1,5 @@
 package shearwarp
 
-import "rtcomp/internal/raster"
-
 // Opacity-coherence acceleration (the spirit of Lacroute's run-length
 // encoded volume traversal): almost all volume data classifies to
 // transparent, so the render kernel bounds every output row to the columns
@@ -26,10 +24,4 @@ func (r *Renderer) transparentDownwardClosed() bool {
 		}
 	}
 	return true
-}
-
-// RenderSlabAccel is RenderSlab, whose kernel already skips transparent
-// runs wherever that is exact.
-func (r *Renderer) RenderSlabAccel(v *View, kLo, kHi int) (*raster.Image, error) {
-	return r.RenderSlab(v, kLo, kHi)
 }

@@ -29,7 +29,7 @@ func TestAccelMatchesPlainExactly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fast, err := r.RenderSlabAccel(v, s.Lo, s.Hi)
+				fast, err := r.RenderSlab(v, s.Lo, s.Hi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +60,7 @@ func TestAccelFallsBackOnNonMonotoneTF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := r.RenderSlabAccel(v, 0, v.NK())
+	fast, err := r.RenderSlab(v, 0, v.NK())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTransparentDownwardClosed(t *testing.T) {
 func TestAccelSlabBounds(t *testing.T) {
 	r := testRenderer("engine", 16)
 	v, _ := r.Factor(Camera{})
-	if _, err := r.RenderSlabAccel(v, -1, 2); err == nil {
+	if _, err := r.RenderSlab(v, -1, 2); err == nil {
 		t.Fatal("negative slab accepted")
 	}
 }

@@ -73,11 +73,6 @@ func checkKernel(t *testing.T, r *Renderer, rv *RLEVolume, v *View, label string
 			same("RenderSlabRLE "+what, got, want)
 		}
 	}
-	got, err := r.RenderSlabAccel(v, 0, v.NK())
-	if err != nil {
-		t.Fatal(err)
-	}
-	same("RenderSlabAccel", got, full)
 	wi, hi := v.IntermediateSize()
 	for _, bands := range []int{1, 2, 3, 7} {
 		got := raster.New(wi, hi)
